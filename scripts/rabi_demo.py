@@ -12,9 +12,9 @@ import numpy as np
 from nrabi import (
     LevelSystem,
     StateVector,
-    full_solution,
     hamiltonian_rwa,
     integrate_schrodinger,
+    trajectory,
 )
 
 
@@ -31,9 +31,7 @@ def main() -> int:
     t_end = args.periods * 2.0 * np.pi / args.g
     times = np.linspace(0.0, t_end, args.samples)
 
-    closed = np.array(
-        [full_solution(system, psi0, float(t)).populations() for t in times]
-    )
+    closed = trajectory(system, psi0, times).populations()
     series = integrate_schrodinger(
         lambda t: hamiltonian_rwa(system, t), psi0, t_end, args.samples
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import (
     ConditionError,
-    ConvergenceError,
     DegenerateSpectrumError,
     IntegrationError,
     InvalidInputError,
@@ -28,9 +28,10 @@ from .model import (
     build_q,
     check_consistency,
     check_resonance,
-    full_solution,
+    full_solution,  # noqa: F401  (part of this module's namespace; bench/tracer.py wraps it)
     hamiltonian_full,
     hamiltonian_rwa,
+    trajectory,
 )
 from .oracle import IntegrationConfig, integrate_schrodinger
 from .propagator import Method, eigenvectors_three_level, jacobi_eigendecompose
@@ -89,10 +90,15 @@ def scenario_from_dict(data: dict) -> Scenario:
             initial = tuple((float(re), float(im)) for re, im in raw_initial)
             if len(initial) != system.n:
                 raise ScenarioError("initial amplitude list length must equal n")
+            if not all(math.isfinite(x) for pair in initial for x in pair):
+                raise ScenarioError("initial amplitudes must be finite")
         t_end = float(data["t_end"])
-        if t_end < 0.0:
-            raise ScenarioError("t_end must be non-negative")
-        samples = int(data.get("samples", _DEFAULT_SAMPLES))
+        if not math.isfinite(t_end) or t_end < 0.0:
+            raise ScenarioError(f"t_end must be finite and non-negative, got {t_end!r}")
+        raw_samples = data.get("samples", _DEFAULT_SAMPLES)
+        if isinstance(raw_samples, bool) or not float(raw_samples).is_integer():
+            raise ScenarioError(f"samples must be an integer, got {raw_samples!r}")
+        samples = int(raw_samples)
         if samples < 1 or (t_end > 0.0 and samples < 2):
             raise ScenarioError("samples must be at least 2 (1 when t_end is 0)")
         method = data.get("method")
@@ -212,26 +218,23 @@ def cmd_simulate(scenario_path: str, out_path: str, method: str | None = None) -
     system = scenario.system
     if not _check_conditions(system, sys.stderr):
         return 2
-    psi0 = scenario.initial_state()
     forced = _resolve_method(scenario, method)
     times = _times(scenario)
+    traj = trajectory(system, scenario.initial_state(), times, forced)
     n = system.n
-    rows = []
-    worst_pop = 0.0
-    for t in times:
-        state = full_solution(system, psi0, float(t), forced)
-        pops = state.populations()
-        worst_pop = max(worst_pop, abs(float(np.sum(pops)) - 1.0))
-        row = [t, *pops]
-        for amp in state.amplitudes:
-            row.extend((amp.real, amp.imag))
-        rows.append(row)
+    pops = traj.populations()
+    rows = np.empty((len(times), 1 + 3 * n))
+    rows[:, 0] = times
+    rows[:, 1 : 1 + n] = pops
+    rows[:, 1 + n :: 2] = traj.amplitudes.real
+    rows[:, 2 + n :: 2] = traj.amplitudes.imag
+    worst_pop = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))  # NaN propagates
     header = ["t"]
     header += [f"pop_{k}" for k in range(n)]
     for k in range(n):
         header += [f"re_{k}", f"im_{k}"]
     footer = [
-        f"method = {(forced.value if forced else 'auto')}",
+        f"method = {traj.method.value} ({'forced' if forced else 'auto'})",
         f"max |sum(populations) - 1| = {worst_pop:.3e}",
     ]
     _write_csv(out_path, header, rows, footer)
@@ -297,9 +300,7 @@ def cmd_compare(
     times = _times(scenario)
     n = system.n
 
-    closed = np.empty((len(times), n))
-    for k, t in enumerate(times):
-        closed[k] = full_solution(stripped, psi0, float(t), forced).populations()
+    closed = trajectory(stripped, psi0, times, forced).populations()
     if scenario.t_end == 0.0:
         rwa_pops = closed.copy()
         full_pops = closed.copy()
@@ -396,7 +397,6 @@ def main(argv=None) -> int:
         InvalidInputError,
         DegenerateSpectrumError,
         IntegrationError,
-        ConvergenceError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,5 @@ class ConditionError(RuntimeError):
         )
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative routine failed to converge."""
-
-
 class IntegrationError(RuntimeError):
     """Time integration could not complete within its error or step budget."""

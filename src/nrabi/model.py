@@ -12,10 +12,14 @@ U(t) exp(-itQ) psi(0) with U(t) a diagonal phase matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConditionError, InvalidInputError
+
+if TYPE_CHECKING:
+    from .propagator import Method
 
 Pair = tuple[int, int]
 
@@ -181,7 +185,7 @@ class StateVector:
         if a.ndim != 1 or a.size < 2:
             raise InvalidInputError("state vector must be 1-D with n >= 2")
         norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:  # also rejects NaN
             raise InvalidInputError(
                 f"state vector norm {norm!r} deviates from 1 by more than {_NORM_ATOL}"
             )
@@ -196,6 +200,8 @@ class StateVector:
     def normalized(cls, amplitudes) -> "StateVector":
         a = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(a)
+        if not np.isfinite(norm):
+            raise InvalidInputError("cannot normalize non-finite amplitudes")
         if norm == 0.0:
             raise InvalidInputError("cannot normalize the zero vector")
         return cls(a / norm)
@@ -264,14 +270,18 @@ def check_consistency(system: LevelSystem, tol: float | None = None) -> Conditio
     return ConditionReport(worst <= tol, residuals, worst, tol)
 
 
+def _accumulated_frequencies(system: LevelSystem) -> np.ndarray:
+    """(0, omega_1, omega_1 + omega_2, ...): the frame phase rates of U(t)."""
+    return np.concatenate(([0.0], np.cumsum(system.sequential_frequencies())))
+
+
 def frame_matrix(system: LevelSystem, t: float) -> np.ndarray:
     """Diagonal frame transform U(t) = diag(1, e^{-i omega_1 t}, e^{-i(omega_1+omega_2)t}, ...).
 
     The accumulated phases use the adjacent-pair drive frequencies; U is
     unitary for every t.
     """
-    acc = np.concatenate(([0.0], np.cumsum(system.sequential_frequencies())))
-    return np.diag(np.exp(-1j * acc * t))
+    return np.diag(np.exp(-1j * _accumulated_frequencies(system) * t))
 
 
 def hamiltonian_rwa(system: LevelSystem, t: float) -> np.ndarray:
@@ -321,7 +331,7 @@ def rotating_frame_hamiltonian(system: LevelSystem, t: float) -> np.ndarray:
     off-diagonal entries are g_ij e^{i epsilon_ij t}.  When the resonance and
     consistency conditions hold this equals Q for all t.
     """
-    acc = np.concatenate(([0.0], np.cumsum(system.sequential_frequencies())))
+    acc = _accumulated_frequencies(system)
     h = np.diag((system.detunings() - acc).astype(complex))
     for (i, j), g in system.couplings.items():
         eps = system.drive_frequencies[(i, j)] - (acc[j] - acc[i])
@@ -331,21 +341,38 @@ def rotating_frame_hamiltonian(system: LevelSystem, t: float) -> np.ndarray:
     return h
 
 
-def full_solution(
+@dataclass(frozen=True)
+class Trajectory:
+    """Closed-form amplitudes U(t) exp(-itQ) psi0, one row per sample time.
+
+    ``method`` is the propagator route that produced them.
+    """
+
+    times: np.ndarray
+    amplitudes: np.ndarray
+    method: Method
+
+    def populations(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+
+def trajectory(
     system: LevelSystem,
     psi0: StateVector,
-    t: float,
+    times,
     method=None,
     tol: float | None = None,
-) -> StateVector:
-    """Evolve psi0 to time t through the closed-form pipeline U(t) exp(-itQ) psi0.
+) -> Trajectory:
+    """Evolve psi0 to every time in ``times`` through U(t) exp(-itQ) psi0.
 
-    Requires the resonance and consistency conditions (checked at ``tol``,
-    defaulting to 1e-9 relative to the largest drive frequency) and zero
-    phases; raises ConditionError otherwise.  ``method`` optionally forces a
-    propagator method.
+    Requires the resonance and consistency conditions (checked once at
+    ``tol``, defaulting to 1e-9 relative to the largest drive frequency) and
+    zero phases; raises ConditionError otherwise.  Q and its spectral plan are
+    built once for all times; ``method`` optionally forces a propagator
+    method.  Every row must have unit norm within 1e-12, as a StateVector
+    must, or InvalidInputError is raised.
     """
-    from .propagator import propagator  # deferred: propagator builds on these types
+    from .propagator import spectral_plan  # deferred: propagator builds on these types
 
     if system.has_phases():
         raise InvalidInputError("closed-form evolution requires zero drive phases")
@@ -355,6 +382,36 @@ def full_solution(
         raise ConditionError(resonance, consistency)
     if psi0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
-    prop = propagator(build_q(system), t, method)
-    amplitudes = frame_matrix(system, t) @ (prop.matrix @ psi0.amplitudes)
-    return StateVector(amplitudes)
+    times = np.array(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise InvalidInputError("times must be a non-empty 1-D array")
+    if not np.isfinite(times).all():
+        raise InvalidInputError("sample times must be finite")
+    plan = spectral_plan(build_q(system), method)
+    frame = np.exp(-1j * np.outer(times, _accumulated_frequencies(system)))
+    amplitudes = frame * plan.evolve(psi0.amplitudes, times)
+    defect = np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0)
+    bad = ~(defect <= _NORM_ATOL)  # NaN counts as bad
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidInputError(
+            f"state norm at t = {times[k]!r} deviates from 1 by {defect[k]!r}, "
+            f"more than {_NORM_ATOL} ({plan.method.value} route)"
+        )
+    times.setflags(write=False)
+    amplitudes.setflags(write=False)
+    return Trajectory(times, amplitudes, plan.method)
+
+
+def full_solution(
+    system: LevelSystem,
+    psi0: StateVector,
+    t: float,
+    method=None,
+    tol: float | None = None,
+) -> StateVector:
+    """The state U(t) exp(-itQ) psi0 at one time: ``trajectory`` at T = 1.
+
+    Same conditions, errors and ``method``/``tol`` arguments as ``trajectory``.
+    """
+    return StateVector(trajectory(system, psi0, [t], method, tol).amplitudes[0])

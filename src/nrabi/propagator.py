@@ -6,12 +6,15 @@ Several routes to the same matrix, each valid on its own domain:
 * Cayley-Hamilton / Lagrange-interpolation polynomial in Q (n = 3, 4,
   non-degenerate spectrum),
 * rank-one closed form when all couplings are equal (any n),
-* diagonalization, either through the closed-form 3x3 eigenvectors or a
-  cyclic Jacobi sweep (any n),
+* diagonalization, either through the closed-form 3x3 eigenvectors or
+  LAPACK ``eigh`` (any n),
 * a scaling-and-squaring reference exponential.
 
-``propagator`` dispatches between them; the individual routes stay exposed so
-they can be cross-checked against each other.
+``spectral_plan`` picks a route for one Q and does that route's one-off work
+(spectrum, eigenvectors or Lagrange basis); the plan then evaluates any
+number of times in one batched call.  ``propagator`` and the per-route
+functions are the single-time case of a plan, and stay exposed so the routes
+can be cross-checked against each other.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateSpectrumError, InvalidInputError
+from .errors import DegenerateSpectrumError, InvalidInputError
 from .model import CouplingMatrix
 from .roots import DEGENERACY_GAP_RTOL, Spectrum, closed_form_spectrum
 
@@ -42,6 +45,10 @@ class Method(str, Enum):
     CLOSED_EIGEN3 = "closed_eigen3"
     JACOBI = "jacobi"
     REFERENCE = "reference"
+
+
+_LAGRANGE = (Method.LAGRANGE3, Method.LAGRANGE4)
+_EIGEN = (Method.CLOSED_EIGEN3, Method.JACOBI)
 
 
 @dataclass(frozen=True)
@@ -80,12 +87,140 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
+def _as_times(times) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise InvalidInputError("times must be a 1-D array")
+    return t
+
+
+@dataclass(frozen=True)
+class SpectralPlan:
+    """exp(-itQ) for one coupling matrix, ready to evaluate at many times.
+
+    ``method`` is the route that runs.  The other fields hold that route's
+    data: ``coupling`` the shared g (two-level and equal-coupling forms);
+    ``spectrum`` the eigenvalues (Lagrange and eigenvector routes);
+    ``vectors`` the eigenvector columns (``closed_eigen3``, ``jacobi``);
+    ``basis`` the Lagrange basis B with f(t) = e^{-it lambda} @ B; ``q`` the
+    entries of Q (Lagrange powers and the reference exponential).
+    """
+
+    method: Method
+    n: int
+    coupling: float | None = None
+    spectrum: Spectrum | None = None
+    vectors: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    q: np.ndarray | None = None
+
+    def _phases(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * np.outer(t, self.spectrum.eigenvalues))
+
+    def _two_level_factors(self, t: np.ndarray):
+        # exp(-itgX) = cos(gt) I - i sin(gt) X with X the swap matrix
+        return np.cos(self.coupling * t), -1j * np.sin(self.coupling * t)
+
+    def _equal_coupling_factors(self, t: np.ndarray):
+        # exp(-itgR) = phase I + shared J with J the all-ones matrix
+        phase = np.exp(1j * self.coupling * t)
+        shared = phase * (np.exp(-1j * self.n * self.coupling * t) - 1.0) / self.n
+        return phase, shared
+
+    def _powers(self, start: np.ndarray) -> np.ndarray:
+        # start, Q start, ..., Q^{n-1} start by repeated multiplication
+        out = [start]
+        for _ in range(1, self.n):
+            out.append(self.q @ out[-1])
+        return np.array(out)
+
+    def propagators(self, times) -> np.ndarray:
+        """exp(-itQ) at every time, shape (T, n, n); t = 0 gives the exact identity."""
+        t = _as_times(times)
+        n = self.n
+        method = self.method
+        if method is Method.TWO_LEVEL:
+            c, s = self._two_level_factors(t)
+            out = c[:, None, None] * np.eye(2) + s[:, None, None] * np.eye(2)[::-1]
+        elif method is Method.EQUAL_COUPLING:
+            phase, shared = self._equal_coupling_factors(t)
+            out = phase[:, None, None] * np.eye(n) + shared[:, None, None]
+        elif method in _LAGRANGE:
+            powers = self._powers(np.eye(n)).reshape(n, n * n)
+            out = (self._phases(t) @ self.basis @ powers).reshape(t.size, n, n)
+        elif method in _EIGEN:
+            v = self.vectors
+            out = (v * self._phases(t)[:, None, :]) @ v.T
+        else:
+            from .oracle import reference_expm  # deferred: oracle imports model types
+
+            out = np.array([reference_expm(-1j * x * self.q) for x in t]).reshape(t.size, n, n)
+        out[t == 0.0] = np.eye(n)
+        return out
+
+    def evolve(self, psi0, times) -> np.ndarray:
+        """exp(-itQ) psi0 at every time, shape (T, n), without forming the propagators."""
+        t = _as_times(times)
+        psi = np.asarray(psi0, dtype=complex)
+        if psi.shape != (self.n,):
+            raise InvalidInputError(f"state must have shape ({self.n},), got {psi.shape}")
+        method = self.method
+        if method is Method.TWO_LEVEL:
+            c, s = self._two_level_factors(t)
+            out = np.outer(c, psi) + np.outer(s, psi[::-1])
+        elif method is Method.EQUAL_COUPLING:
+            phase, shared = self._equal_coupling_factors(t)
+            out = np.outer(phase, psi) + (shared * psi.sum())[:, None]
+        elif method in _LAGRANGE:
+            out = self._phases(t) @ self.basis @ self._powers(psi)
+        elif method in _EIGEN:
+            v = self.vectors
+            out = (self._phases(t) * (v.T @ psi)) @ v.T
+        else:
+            from .oracle import reference_expm  # deferred: oracle imports model types
+
+            out = np.array([reference_expm(-1j * x * self.q) @ psi for x in t]).reshape(t.size, self.n)
+        out[t == 0.0] = psi
+        return out
+
+
+def _lagrange_basis(spectrum: Spectrum) -> np.ndarray:
+    """Row j: ascending monomial coefficients of the Lagrange basis polynomial l_j.
+
+    l_j(lambda) = prod_{k != j} (lambda - lambda_k) / (lambda_j - lambda_k), so
+    the interpolation coefficients of e^{-it lambda} are e^{-it lambda} @ B.  The
+    denominators contain every eigenvalue gap, so a near-degenerate spectrum
+    is rejected.
+    """
+    if spectrum.degeneracy_gap <= DEGENERACY_GAP_RTOL * spectrum.spectral_radius:
+        raise DegenerateSpectrumError(
+            f"eigenvalue gap {spectrum.degeneracy_gap:.3e} is below "
+            f"{DEGENERACY_GAP_RTOL:.0e} of the spectral radius; "
+            "use a diagonalization method"
+        )
+    lam = [float(x) for x in spectrum.eigenvalues]
+    rows = []
+    for j, lam_j in enumerate(lam):
+        coeffs = [1.0]
+        denom = 1.0
+        for k, lam_k in enumerate(lam):
+            if k == j:
+                continue
+            # multiply by (lambda - lambda_k)
+            coeffs = (
+                [-lam_k * coeffs[0]]
+                + [coeffs[i - 1] - lam_k * coeffs[i] for i in range(1, len(coeffs))]
+                + [coeffs[-1]]
+            )
+            denom *= lam_j - lam_k
+        rows.append([c / denom for c in coeffs])
+    return np.array(rows)
+
+
 def propagator_two_level(g: float, t: float) -> Propagator:
     """Resonant two-level propagator [[cos gt, -i sin gt], [-i sin gt, cos gt]]."""
-    c = math.cos(g * t)
-    s = math.sin(g * t)
-    matrix = np.array([[c, -1j * s], [-1j * s, c]])
-    return Propagator(2, matrix, t, Method.TWO_LEVEL)
+    plan = SpectralPlan(Method.TWO_LEVEL, 2, coupling=g)
+    return Propagator(2, plan.propagators([t])[0], t, Method.TWO_LEVEL)
 
 
 def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
@@ -96,11 +231,8 @@ def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
     """
     if n < 2:
         raise InvalidInputError("equal-coupling propagator needs n >= 2")
-    phase = np.exp(1j * g * t)
-    shared = phase * (np.exp(-1j * n * g * t) - 1.0) / n
-    matrix = np.full((n, n), shared, dtype=complex)
-    np.fill_diagonal(matrix, phase + shared)
-    return Propagator(n, matrix, t, Method.EQUAL_COUPLING)
+    plan = SpectralPlan(Method.EQUAL_COUPLING, n, coupling=g)
+    return Propagator(n, plan.propagators([t])[0], t, Method.EQUAL_COUPLING)
 
 
 def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
@@ -108,30 +240,10 @@ def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
 
     f is the coefficient vector of sum_j e^{-it lambda_j} l_j(lambda) with
     l_j the Lagrange basis polynomials, i.e. the solution of the Vandermonde
-    system sum_k f_k lambda_j^k = e^{-it lambda_j}.  The basis denominators
-    contain every eigenvalue gap, so a near-degenerate spectrum is rejected.
+    system sum_k f_k lambda_j^k = e^{-it lambda_j}.  A near-degenerate
+    spectrum is rejected.
     """
-    lam = spectrum.eigenvalues
-    n = spectrum.n
-    if spectrum.degeneracy_gap <= DEGENERACY_GAP_RTOL * spectrum.spectral_radius:
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap {spectrum.degeneracy_gap:.3e} is below "
-            f"{DEGENERACY_GAP_RTOL:.0e} of the spectral radius; "
-            "use a diagonalization method"
-        )
-    f = np.zeros(n, dtype=complex)
-    for j in range(n):
-        basis = np.array([1.0])  # ascending monomial coefficients of l_j numerator
-        denom = 1.0
-        for k in range(n):
-            if k == j:
-                continue
-            extended = np.zeros(len(basis) + 1)
-            extended[:-1] -= lam[k] * basis  # multiply by (lambda - lambda_k)
-            extended[1:] += basis
-            basis = extended
-            denom *= lam[j] - lam[k]
-        f += np.exp(-1j * t * lam[j]) / denom * basis
+    f = np.exp(-1j * t * spectrum.eigenvalues) @ _lagrange_basis(spectrum)
     return LagrangeCoeffs(f=f, t=t, spectrum=spectrum)
 
 
@@ -145,17 +257,7 @@ def propagator_lagrange(q: CouplingMatrix, t: float) -> Propagator:
         raise InvalidInputError(
             f"the polynomial expansion is implemented for n = 3, 4, got n = {q.n}"
         )
-    spectrum = closed_form_spectrum(q)
-    coeffs = lagrange_coeffs(spectrum, t)
-    method = Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4
-    if t == 0.0:
-        return Propagator(q.n, np.eye(q.n, dtype=complex), t, method)
-    matrix = coeffs.f[0] * np.eye(q.n, dtype=complex)
-    power = np.eye(q.n)
-    for k in range(1, q.n):
-        power = power @ q.entries
-        matrix += coeffs.f[k] * power
-    return Propagator(q.n, matrix, t, method)
+    return propagator(q, t, Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4)
 
 
 def _unnormalized_eigenvector(
@@ -227,52 +329,16 @@ def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDeco
 
 
 def jacobi_eigendecompose(q: CouplingMatrix) -> EigenDecomposition:
-    """Cyclic Jacobi diagonalization of a coupling matrix, any n >= 2.
+    """Diagonalization of a coupling matrix by LAPACK (``numpy.linalg.eigh``), any n >= 2.
 
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm falls below 1e-12 of the matrix norm; eigenvalues are returned
-    descending with the eigenvector columns permuted to match.
+    The ``jacobi`` route: eigenvalues are returned descending with the
+    orthonormal eigenvector columns permuted to match.
     """
-    a = np.array(q.entries, dtype=float)
-    n = q.n
-    vectors = np.eye(n)
-    target = 1e-12 * float(np.linalg.norm(a))
-    for _ in range(100):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for s in range(p + 1, n):
-                apq = a[p, s]
-                if apq == 0.0:
-                    continue
-                theta = (a[s, s] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                tau = sn / (1.0 + c)
-                a[p, p] -= t * apq
-                a[s, s] += t * apq
-                a[p, s] = a[s, p] = 0.0
-                others = [i for i in range(n) if i != p and i != s]
-                aip = a[others, p].copy()
-                ais = a[others, s].copy()
-                a[others, p] = a[p, others] = aip - sn * (ais + tau * aip)
-                a[others, s] = a[s, others] = ais + sn * (aip - tau * ais)
-                vp = vectors[:, p].copy()
-                vs = vectors[:, s].copy()
-                vectors[:, p] = vp - sn * (vs + tau * vp)
-                vectors[:, s] = vs + sn * (vp - tau * vs)
-    else:
-        raise ConvergenceError("Jacobi sweeps did not converge in 100 passes")
-    diag = np.diag(a)
-    order = np.argsort(-diag, kind="stable")
-    lam = diag[order]
-    gap = float(np.min(np.abs(np.diff(lam)))) if n > 1 else math.inf
-    spectrum = Spectrum(eigenvalues=lam, degeneracy_gap=gap, n=n)
-    return EigenDecomposition(spectrum, vectors[:, order])
+    lam, vectors = np.linalg.eigh(q.entries)
+    lam = lam[::-1]
+    gap = float(np.min(np.abs(np.diff(lam))))
+    spectrum = Spectrum(eigenvalues=lam, degeneracy_gap=gap, n=q.n)
+    return EigenDecomposition(spectrum, np.ascontiguousarray(vectors[:, ::-1]))
 
 
 def propagator_from_eigen(
@@ -280,11 +346,8 @@ def propagator_from_eigen(
 ) -> Propagator:
     """exp(-itQ) = O diag(e^{-it lambda}) O^T from an eigendecomposition."""
     n = decomp.spectrum.n
-    if t == 0.0:
-        return Propagator(n, np.eye(n, dtype=complex), t, method)
-    phases = np.exp(-1j * t * decomp.spectrum.eigenvalues)
-    matrix = (decomp.vectors * phases) @ decomp.vectors.T
-    return Propagator(n, matrix, t, method)
+    plan = SpectralPlan(method, n, spectrum=decomp.spectrum, vectors=decomp.vectors)
+    return Propagator(n, plan.propagators([t])[0], t, method)
 
 
 def equal_coupling_value(q: CouplingMatrix) -> float | None:
@@ -298,8 +361,8 @@ def equal_coupling_value(q: CouplingMatrix) -> float | None:
     return None
 
 
-def propagator(q: CouplingMatrix, t: float, method=None) -> Propagator:
-    """Compute exp(-itQ), picking the cheapest applicable route unless forced.
+def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
+    """Pick the route to exp(-itQ) for Q, unless forced, and do its one-off work.
 
     Automatic dispatch: n = 2 goes to the two-level form; an equal-coupling
     pattern goes to the rank-one form (its spectrum is maximally degenerate,
@@ -311,6 +374,7 @@ def propagator(q: CouplingMatrix, t: float, method=None) -> Propagator:
     if method is not None and not isinstance(method, Method):
         method = Method(method)
 
+    spectrum = None
     if method is None:
         if q.n == 2:
             method = Method.TWO_LEVEL
@@ -336,26 +400,34 @@ def propagator(q: CouplingMatrix, t: float, method=None) -> Propagator:
     if method is Method.TWO_LEVEL:
         if q.n != 2:
             raise InvalidInputError(f"two-level method needs n = 2, got n = {q.n}")
-        return propagator_two_level(q.entries[0, 1], t)
+        return SpectralPlan(method, 2, coupling=float(q.entries[0, 1]))
     if method is Method.EQUAL_COUPLING:
         g = equal_coupling_value(q)
         if g is None:
             raise InvalidInputError("couplings are not all equal")
-        return propagator_equal_coupling(q.n, g, t)
-    if method in (Method.LAGRANGE3, Method.LAGRANGE4):
+        return SpectralPlan(method, q.n, coupling=g)
+    if method in _LAGRANGE:
         expected = 3 if method is Method.LAGRANGE3 else 4
         if q.n != expected:
             raise InvalidInputError(f"{method.value} needs n = {expected}, got n = {q.n}")
-        return propagator_lagrange(q, t)
+        if spectrum is None:
+            spectrum = closed_form_spectrum(q)
+        basis = _lagrange_basis(spectrum)
+        return SpectralPlan(method, q.n, spectrum=spectrum, basis=basis, q=q.entries)
     if method is Method.CLOSED_EIGEN3:
         if q.n != 3:
             raise InvalidInputError(f"closed_eigen3 needs n = 3, got n = {q.n}")
         decomp = eigenvectors_three_level(q, closed_form_spectrum(q))
-        return propagator_from_eigen(decomp, t, Method.CLOSED_EIGEN3)
-    if method is Method.JACOBI:
-        return propagator_from_eigen(jacobi_eigendecompose(q), t, Method.JACOBI)
-    if method is Method.REFERENCE:
-        from .oracle import reference_expm  # deferred: oracle imports model types
+    elif method is Method.JACOBI:
+        decomp = jacobi_eigendecompose(q)
+    elif method is Method.REFERENCE:
+        return SpectralPlan(method, q.n, q=q.entries)
+    else:
+        raise InvalidInputError(f"unknown propagator method {method!r}")
+    return SpectralPlan(method, q.n, spectrum=decomp.spectrum, vectors=decomp.vectors)
 
-        return Propagator(q.n, reference_expm(-1j * t * q.entries), t, Method.REFERENCE)
-    raise InvalidInputError(f"unknown propagator method {method!r}")
+
+def propagator(q: CouplingMatrix, t: float, method=None) -> Propagator:
+    """exp(-itQ) at one time through ``spectral_plan`` (same dispatch, same errors)."""
+    plan = spectral_plan(q, method)
+    return Propagator(q.n, plan.propagators([t])[0], t, plan.method)

@@ -163,6 +163,44 @@ class TestSimulate:
         assert np.array_equal(rows[:, 0], expected)
 
 
+    def test_footer_names_the_method_that_ran(self, tmp_path):
+        out = tmp_path / "run.csv"
+        scenario = str(SCENARIOS / "three_level_consistent.json")
+        assert main(["simulate", scenario, "--out", str(out)]) == 0
+        _, _, footer = read_csv(out)
+        assert "# method = lagrange3 (auto)" in footer
+        assert main(["simulate", scenario, "--out", str(out), "--method", "jacobi"]) == 0
+        _, _, footer = read_csv(out)
+        assert "# method = jacobi (forced)" in footer
+
+
+class TestRejectsNonFiniteAndMistypedInput:
+    """Each case exited 0 with NaN rows, or escaped main as a traceback."""
+
+    @staticmethod
+    def run_simulate(tmp_path, capsys, **changes):
+        data = json.loads((SCENARIOS / "two_level_rabi.json").read_text(encoding="utf-8"))
+        data.update(changes)
+        out = tmp_path / "out.csv"
+        code = main(["simulate", write_scenario(tmp_path, "bad.json", data), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_nan_t_end(self, tmp_path, capsys):
+        assert "t_end" in self.run_simulate(tmp_path, capsys, t_end=float("nan"))
+
+    def test_infinite_t_end(self, tmp_path, capsys):
+        assert "t_end" in self.run_simulate(tmp_path, capsys, t_end=float("inf"))
+
+    def test_nan_initial_amplitude(self, tmp_path, capsys):
+        err = self.run_simulate(tmp_path, capsys, initial=[[float("nan"), 0.0], [1.0, 0.0]])
+        assert "initial" in err
+
+    def test_fractional_samples(self, tmp_path, capsys):
+        assert "samples" in self.run_simulate(tmp_path, capsys, samples=2.7)
+
+
 class TestVerify:
     def test_consistent_scenario(self, capsys):
         code = cmd_verify(str(SCENARIOS / "three_level_consistent.json"))

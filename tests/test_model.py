@@ -18,7 +18,9 @@ from nrabi import (
     hamiltonian_rwa,
     integrate_schrodinger,
     rotating_frame_hamiltonian,
+    trajectory,
 )
+from nrabi.propagator import SpectralPlan
 
 THREE_LEVEL = LevelSystem.resonant((0.0, 1.0, 3.0), {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0})
 
@@ -302,3 +304,45 @@ class TestFullSolution:
         for t in np.linspace(0.0, 100.0 / g_max, 40):
             out = full_solution(THREE_LEVEL, psi0, float(t))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
+
+
+class TestTrajectory:
+    def test_rows_match_full_solution_and_report_method(self):
+        psi0 = StateVector.normalized([0.3, 0.4 + 0.2j, 0.8])
+        times = np.linspace(0.0, 7.0, 15)
+        traj = trajectory(THREE_LEVEL, psi0, times)
+        assert traj.method.value == "lagrange3"
+        assert traj.amplitudes.shape == (15, 3)
+        for k, t in enumerate(times):
+            row = full_solution(THREE_LEVEL, psi0, float(t)).amplitudes
+            assert np.max(np.abs(traj.amplitudes[k] - row)) <= 1e-12
+        assert np.allclose(traj.populations().sum(axis=1), 1.0, atol=1e-12)
+
+    def test_conditions_checked(self):
+        with pytest.raises(ConditionError):
+            trajectory(detuned_three_level(2.5), StateVector.basis(3, 0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.0, float("nan")], [float("inf")], [], [[1.0]]])
+    def test_rejects_bad_times(self, times):
+        with pytest.raises(InvalidInputError):
+            trajectory(THREE_LEVEL, StateVector.basis(3, 0), times)
+
+    @pytest.mark.parametrize("defect", [1e-9, float("nan")])
+    def test_every_row_must_have_unit_norm(self, monkeypatch, defect):
+        evolve = SpectralPlan.evolve
+
+        def spoiled(plan, psi0, times):
+            out = evolve(plan, psi0, times)
+            out[-1] *= 1.0 + defect
+            return out
+
+        monkeypatch.setattr(SpectralPlan, "evolve", spoiled)
+        with pytest.raises(InvalidInputError, match="norm"):
+            trajectory(THREE_LEVEL, StateVector.basis(3, 0), [0.0, 1.0, 2.0])
+
+
+def test_state_vector_rejects_nan():
+    with pytest.raises(InvalidInputError):
+        StateVector(np.array([np.nan, 1.0]))
+    with pytest.raises(InvalidInputError):
+        StateVector.normalized([np.nan, 1.0])
