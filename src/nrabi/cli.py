@@ -87,6 +87,12 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ScenarioError(f"initial level index {raw_initial!r} out of range")
             initial: int | tuple = int(raw_initial)
         else:
+            if not isinstance(raw_initial, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw_initial
+            ):
+                raise ScenarioError(
+                    "initial must be a level index or a list of [re, im] pairs"
+                )
             initial = tuple((float(re), float(im)) for re, im in raw_initial)
             if len(initial) != system.n:
                 raise ScenarioError("initial amplitude list length must equal n")
@@ -300,31 +306,33 @@ def cmd_compare(
     times = _times(scenario)
     n = system.n
 
+    # built before any integration so bad tolerances fail even when t_end is 0
+    cfg = IntegrationConfig(
+        rel_tol=rtol if rtol is not None else IntegrationConfig.rel_tol,
+        abs_tol=atol if atol is not None else IntegrationConfig.abs_tol,
+    )
     closed = trajectory(stripped, psi0, times, forced).populations()
+    runs = {}
     if scenario.t_end == 0.0:
         rwa_pops = closed.copy()
         full_pops = closed.copy()
     else:
-        cfg = IntegrationConfig(
-            rel_tol=rtol if rtol is not None else IntegrationConfig.rel_tol,
-            abs_tol=atol if atol is not None else IntegrationConfig.abs_tol,
-        )
-        rwa = integrate_schrodinger(
+        runs["rwa"] = integrate_schrodinger(
             lambda t: hamiltonian_rwa(stripped, t),
             psi0,
             scenario.t_end,
             scenario.samples,
             cfg,
         )
-        full = integrate_schrodinger(
+        runs["full"] = integrate_schrodinger(
             lambda t: hamiltonian_full(system, t),
             psi0,
             scenario.t_end,
             scenario.samples,
             cfg,
         )
-        rwa_pops = rwa.populations
-        full_pops = full.populations
+        rwa_pops = runs["rwa"].populations
+        full_pops = runs["full"].populations
 
     header = ["t"]
     for tag in ("closed", "rwa", "full"):
@@ -336,6 +344,11 @@ def cmd_compare(
         f"max |closed - rwa| = {float(np.max(np.abs(closed - rwa_pops))):.3e}",
         f"max |closed - full| = {float(np.max(np.abs(closed - full_pops))):.3e}",
         f"max |rwa - full| = {float(np.max(np.abs(rwa_pops - full_pops))):.3e}",
+    ]
+    footer += [
+        f"{tag} steps accepted = {run.steps_accepted}, rejected = {run.steps_rejected}, "
+        f"H evaluations = {run.h_evals}"
+        for tag, run in runs.items()
     ]
     _write_csv(out_path, header, rows, footer)
     return 0

@@ -12,7 +12,8 @@ U(t) exp(-itQ) psi(0) with U(t) a diagonal phase matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,17 @@ _NORM_ATOL = 1e-12
 
 def _level_pairs(n: int) -> list[Pair]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+class _PairArrays(NamedTuple):
+    """Per-pair columns of a LevelSystem, in ``couplings`` order, read-only."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    g: np.ndarray
+    omega: np.ndarray
+    phi: np.ndarray
+    h0: np.ndarray  # diag(0, Delta_1, ..., Delta_{n-1}) as a complex matrix
 
 
 def _canonical_pairs(values, n: int, what: str) -> dict[Pair, float]:
@@ -134,6 +146,22 @@ class LevelSystem:
         if not self.has_phases():
             return self
         return LevelSystem(self.energies, self.couplings, self.drive_frequencies)
+
+    @cached_property
+    def _pairs(self) -> _PairArrays:
+        # built once per system (the fields are frozen) for the Hamiltonians
+        keys = list(self.couplings)
+        arrays = _PairArrays(
+            np.array([i for i, _ in keys], dtype=np.intp),
+            np.array([j for _, j in keys], dtype=np.intp),
+            np.array([self.couplings[k] for k in keys]),
+            np.array([self.drive_frequencies[k] for k in keys]),
+            np.array([self.phases[k] for k in keys]),
+            np.diag(self.detunings().astype(complex)),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -296,11 +324,11 @@ def hamiltonian_rwa(system: LevelSystem, t: float) -> np.ndarray:
             "the RWA interaction is phase-free; nonzero drive phases are only "
             "supported by hamiltonian_full"
         )
-    h = np.diag(system.detunings().astype(complex))
-    for (i, j), g in system.couplings.items():
-        v = g * np.exp(1j * system.drive_frequencies[(i, j)] * t)
-        h[i, j] = v
-        h[j, i] = np.conjugate(v)
+    p = system._pairs
+    h = p.h0.copy()
+    v = p.g * np.exp(1j * p.omega * t)
+    h[p.rows, p.cols] = v
+    h[p.cols, p.rows] = np.conjugate(v)
     return h
 
 
@@ -314,13 +342,11 @@ def hamiltonian_full(system: LevelSystem, t: float) -> np.ndarray:
     amplitude A contributes A/2 to the co-rotating term that survives the
     approximation.
     """
-    h = np.diag(system.detunings().astype(complex))
-    for (i, j), g in system.couplings.items():
-        v = 2.0 * g * np.cos(
-            system.drive_frequencies[(i, j)] * t + system.phases[(i, j)]
-        )
-        h[i, j] = v
-        h[j, i] = v
+    p = system._pairs
+    h = p.h0.copy()
+    v = 2.0 * p.g * np.cos(p.omega * t + p.phi)
+    h[p.rows, p.cols] = v
+    h[p.cols, p.rows] = v
     return h
 
 
@@ -331,13 +357,13 @@ def rotating_frame_hamiltonian(system: LevelSystem, t: float) -> np.ndarray:
     off-diagonal entries are g_ij e^{i epsilon_ij t}.  When the resonance and
     consistency conditions hold this equals Q for all t.
     """
+    p = system._pairs
     acc = _accumulated_frequencies(system)
     h = np.diag((system.detunings() - acc).astype(complex))
-    for (i, j), g in system.couplings.items():
-        eps = system.drive_frequencies[(i, j)] - (acc[j] - acc[i])
-        v = g * np.exp(1j * eps * t)
-        h[i, j] = v
-        h[j, i] = np.conjugate(v)
+    eps = p.omega - (acc[p.cols] - acc[p.rows])
+    v = p.g * np.exp(1j * eps * t)
+    h[p.rows, p.cols] = v
+    h[p.cols, p.rows] = np.conjugate(v)
     return h
 
 

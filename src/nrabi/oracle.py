@@ -34,19 +34,26 @@ class IntegrationConfig:
     renormalize: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidInputError("initial step dt must be positive")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise InvalidInputError("tolerances must be positive")
+        for name in ("dt", "rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled trajectory: times, state amplitudes (rows) and level populations."""
+    """Sampled trajectory: times, state amplitudes (rows) and level populations.
+
+    ``steps_accepted`` and ``steps_rejected`` count step-doubling attempts;
+    ``h_evals`` counts calls to the caller's Hamiltonian.
+    """
 
     times: np.ndarray
     states: np.ndarray
     populations: np.ndarray
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+    h_evals: int = 0
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -59,8 +66,9 @@ class TimeSeries:
 def _require_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if float(np.max(np.abs(h - h.conj().T))) > _HERMITICITY_RTOL * scale:
-        raise IntegrationError(f"Hamiltonian is not Hermitian at t = {t!r}")
+    # NaN-safe: a non-finite entry makes the defect NaN, which fails the test
+    if not float(np.max(np.abs(h - h.conj().T))) <= _HERMITICITY_RTOL * scale:
+        raise IntegrationError(f"Hamiltonian is not finite and Hermitian at t = {t!r}")
     return h
 
 
@@ -87,32 +95,53 @@ def integrate_schrodinger(
     once at full size and twice at half size; the pair must agree within
     abs_tol + rel_tol * ||psi|| for the step to be accepted, and the step size
     follows the usual fourth-order controller.  Raises IntegrationError when
-    the step budget runs out.
+    the step budget runs out.  ``hamiltonian`` must depend on t alone: within
+    one attempt each distinct time is evaluated once and the matrix reused.
+    The result counts accepted and rejected attempts and calls to
+    ``hamiltonian``.
     """
     cfg = config or IntegrationConfig()
-    if t_end <= 0.0:
-        raise InvalidInputError("t_end must be positive")
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise InvalidInputError(f"t_end must be positive and finite, got {t_end!r}")
     if samples < 2:
         raise InvalidInputError("need at least two samples")
     times = np.linspace(0.0, t_end, samples)
-    _require_hermitian(hamiltonian(0.0), 0.0)
-    _require_hermitian(hamiltonian(t_end), t_end)
+
+    # An attempt of step s makes 12 calls at t, t + s/4, t + s/2,
+    # t + s/2 + s/4, t + s/2 + s/2 and t + s; the memo, keyed by the exact
+    # float and cleared per attempt except for H(t), makes each one call.
+    memo: dict = {}
+    h_evals = 0
+
+    def h_at(t):
+        nonlocal h_evals
+        h = memo.get(t)
+        if h is None:
+            h = memo[t] = hamiltonian(t)
+            h_evals += 1
+        return h
+
+    _require_hermitian(h_at(0.0), 0.0)
+    _require_hermitian(h_at(t_end), t_end)
 
     psi = np.array(psi0.amplitudes, dtype=complex)
     states = np.empty((samples, psi.size), dtype=complex)
     states[0] = psi
     h = min(cfg.dt, t_end / (samples - 1))
-    steps = 0
+    steps = accepted = 0
     for k in range(1, samples):
         t = times[k - 1]
         t_target = times[k]
         while t < t_target:
+            h_t = h_at(t)
+            memo.clear()
+            memo[t] = h_t
             remaining = t_target - t
             last = h >= remaining
             step = remaining if last else h
-            full = rk4_step(hamiltonian, t, psi, step)
-            half = rk4_step(hamiltonian, t, psi, 0.5 * step)
-            half = rk4_step(hamiltonian, t + 0.5 * step, half, 0.5 * step)
+            full = rk4_step(h_at, t, psi, step)
+            half = rk4_step(h_at, t, psi, 0.5 * step)
+            half = rk4_step(h_at, t + 0.5 * step, half, 0.5 * step)
             err = float(np.linalg.norm(half - full))
             tol = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(half))
             steps += 1
@@ -121,9 +150,10 @@ def integrate_schrodinger(
                     f"exceeded max_steps = {cfg.max_steps} before t = {t_target!r}"
                 )
             if err <= tol:
+                accepted += 1
                 psi = half
                 t = t_target if last else t + step
-                _require_hermitian(hamiltonian(t), t)
+                _require_hermitian(h_at(t), t)
                 if cfg.renormalize:
                     psi = psi / np.linalg.norm(psi)
                 if not last:
@@ -134,7 +164,7 @@ def integrate_schrodinger(
                 h = step * max(0.1, 0.9 * (tol / err) ** 0.25)
         states[k] = psi
     populations = np.abs(states) ** 2
-    return TimeSeries(times=times, states=states, populations=populations)
+    return TimeSeries(times, states, populations, accepted, steps - accepted, h_evals)
 
 
 def rwa_error(

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,21 @@ class TestRejectsNonFiniteAndMistypedInput:
     def test_fractional_samples(self, tmp_path, capsys):
         assert "samples" in self.run_simulate(tmp_path, capsys, samples=2.7)
 
+    @pytest.mark.parametrize("initial", [True, "0", {"re": 1.0}, [1.0, 0.0]])
+    def test_initial_not_an_index_or_pairs(self, tmp_path, capsys, initial):
+        err = self.run_simulate(tmp_path, capsys, initial=initial)
+        assert "initial must be a level index or a list of [re, im] pairs" in err
+
+    @pytest.mark.parametrize("rtol", ["nan", "inf"])
+    def test_non_finite_rtol(self, tmp_path, capsys, rtol):
+        out = tmp_path / "out.csv"
+        scenario = str(SCENARIOS / "two_level_rabi.json")
+        assert main(["compare", scenario, "--out", str(out), "--rtol", rtol]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rel_tol" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_consistent_scenario(self, capsys):
@@ -350,6 +366,24 @@ class TestCompare:
         _, _, footer = read_csv(out)
         deviation = [line for line in footer if "closed - full" in line]
         assert deviation  # reported, not asserted
+
+    def test_footer_reports_integrator_effort(self, tmp_path):
+        out = tmp_path / "effort.csv"
+        assert cmd_compare(str(SCENARIOS / "three_level_consistent.json"), str(out)) == 0
+        _, _, footer = read_csv(out)
+        effort = {}
+        for line in footer:
+            m = re.fullmatch(
+                r"# (\w+) steps accepted = (\d+), rejected = (\d+), H evaluations = (\d+)",
+                line,
+            )
+            if m:
+                effort[m[1]] = tuple(int(x) for x in m.groups()[1:])
+        assert set(effort) == {"rwa", "full"}
+        assert sum(e[0] for e in effort.values()) == 3481
+        assert sum(e[1] for e in effort.values()) == 2
+        for accepted, rejected, h_evals in effort.values():
+            assert h_evals <= 5 * (accepted + rejected) + 3
 
 
 class TestMainEntry:

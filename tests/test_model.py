@@ -239,6 +239,70 @@ class TestHamiltonians:
             assert np.allclose(h, np.diag([0.0, 1.0, 3.0]))
 
 
+def loop_hamiltonian_rwa(system, t):
+    h = np.diag(system.detunings().astype(complex))
+    for (i, j), g in system.couplings.items():
+        v = g * np.exp(1j * system.drive_frequencies[(i, j)] * t)
+        h[i, j] = v
+        h[j, i] = np.conjugate(v)
+    return h
+
+
+def loop_hamiltonian_full(system, t):
+    h = np.diag(system.detunings().astype(complex))
+    for (i, j), g in system.couplings.items():
+        v = 2.0 * g * np.cos(system.drive_frequencies[(i, j)] * t + system.phases[(i, j)])
+        h[i, j] = v
+        h[j, i] = v
+    return h
+
+
+def loop_rotating_frame_hamiltonian(system, t):
+    acc = np.concatenate(([0.0], np.cumsum(system.sequential_frequencies())))
+    h = np.diag((system.detunings() - acc).astype(complex))
+    for (i, j), g in system.couplings.items():
+        eps = system.drive_frequencies[(i, j)] - (acc[j] - acc[i])
+        v = g * np.exp(1j * eps * t)
+        h[i, j] = v
+        h[j, i] = np.conjugate(v)
+    return h
+
+
+@st.composite
+def driven_systems(draw):
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.1, 5.0), min_size=n - 1, max_size=n - 1))
+    energies = np.concatenate(([0.0], np.cumsum(gaps)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    draw(st.randoms()).shuffle(pairs)  # dict order need not be row-major
+
+    def per_pair(lo, hi):
+        values = draw(st.lists(st.floats(lo, hi), min_size=len(pairs), max_size=len(pairs)))
+        return dict(zip(pairs, values))
+
+    return LevelSystem(
+        tuple(energies), per_pair(0.0, 5.0), per_pair(-10.0, 10.0), per_pair(-4.0, 4.0)
+    )
+
+
+class TestPairArrayHamiltonians:
+    """The array-built Hamiltonians equal the per-pair loops bit for bit."""
+
+    @given(system=driven_systems(), t=st.floats(-100.0, 100.0))
+    def test_equal_to_per_pair_loops(self, system, t):
+        stripped = system.without_phases()
+        assert np.array_equal(hamiltonian_rwa(stripped, t), loop_hamiltonian_rwa(stripped, t))
+        assert np.array_equal(hamiltonian_full(system, t), loop_hamiltonian_full(system, t))
+        assert np.array_equal(
+            rotating_frame_hamiltonian(system, t), loop_rotating_frame_hamiltonian(system, t)
+        )
+
+    def test_returned_matrices_are_fresh(self):
+        h = hamiltonian_rwa(THREE_LEVEL, 0.5)
+        h[0, 1] = 99.0
+        assert np.array_equal(hamiltonian_rwa(THREE_LEVEL, 0.5), loop_hamiltonian_rwa(THREE_LEVEL, 0.5))
+
+
 class TestFrameIdentity:
     def test_transform_reproduces_q_under_both_conditions(self, rng):
         q = build_q(THREE_LEVEL).entries

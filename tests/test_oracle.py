@@ -8,6 +8,7 @@ from nrabi import (
     LevelSystem,
     StateVector,
     full_solution,
+    hamiltonian_full,
     hamiltonian_rwa,
     integrate_schrodinger,
     jacobi_eigendecompose,
@@ -98,6 +99,117 @@ class TestIntegrate:
             integrate_schrodinger(
                 lambda t: np.eye(2, dtype=complex), StateVector.basis(2, 0), 1.0, 1
             )
+
+
+class TestRejectsNonFiniteSettings:
+    @pytest.mark.parametrize("name", ["dt", "rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_config(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            IntegrationConfig(**{name: value})
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+    def test_t_end(self, t_end):
+        with pytest.raises(InvalidInputError, match="t_end"):
+            integrate_schrodinger(
+                lambda t: np.eye(2, dtype=complex), StateVector.basis(2, 0), t_end, 5
+            )
+
+    def test_nan_hamiltonian_rejected(self):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(IntegrationError):
+            integrate_schrodinger(lambda t: nan, StateVector.basis(2, 0), 1.0, 5)
+
+
+def reference_integrate(hamiltonian, psi0, t_end, samples, cfg):
+    """The integrator without evaluation reuse: no memo, every call
+    goes to ``hamiltonian``.  Returns states, accepted, rejected, calls."""
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return hamiltonian(t)
+
+    times = np.linspace(0.0, t_end, samples)
+    counted(0.0)
+    counted(t_end)
+    psi = np.array(psi0.amplitudes, dtype=complex)
+    states = np.empty((samples, psi.size), dtype=complex)
+    states[0] = psi
+    h = min(cfg.dt, t_end / (samples - 1))
+    accepted = rejected = 0
+    for k in range(1, samples):
+        t = times[k - 1]
+        t_target = times[k]
+        while t < t_target:
+            remaining = t_target - t
+            last = h >= remaining
+            step = remaining if last else h
+            full = rk4_step(counted, t, psi, step)
+            half = rk4_step(counted, t, psi, 0.5 * step)
+            half = rk4_step(counted, t + 0.5 * step, half, 0.5 * step)
+            err = float(np.linalg.norm(half - full))
+            tol = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(half))
+            if err <= tol:
+                accepted += 1
+                psi = half
+                t = t_target if last else t + step
+                counted(t)
+                if cfg.renormalize:
+                    psi = psi / np.linalg.norm(psi)
+                if not last:
+                    factor = 4.0 if err == 0.0 else 0.9 * (tol / err) ** 0.2
+                    h = step * min(4.0, max(0.5, factor))
+            else:
+                rejected += 1
+                h = step * max(0.1, 0.9 * (tol / err) ** 0.25)
+        states[k] = psi
+    return states, accepted, rejected, calls
+
+
+FOUR_LEVEL = LevelSystem.resonant(
+    (0.0, 0.8, 2.1, 2.9),
+    {(0, 1): 0.3, (0, 2): 0.15, (0, 3): 0.05, (1, 2): 0.25, (1, 3): 0.1, (2, 3): 0.2},
+)
+PHASED_THREE_LEVEL = LevelSystem(
+    (0.0, 1.0, 2.5),
+    {(0, 1): 0.2, (0, 2): 0.1, (1, 2): 0.15},
+    {(0, 1): 1.0, (0, 2): 2.5, (1, 2): 1.5},
+    {(0, 1): 0.4, (0, 2): -1.1, (1, 2): 2.0},
+)
+
+
+class TestEvaluationReuse:
+    """Memoized Hamiltonian calls leave every state bit-for-bit unchanged."""
+
+    @pytest.mark.parametrize(
+        "hamiltonian, psi0, t_end, samples, cfg, must_reject",
+        [
+            (lambda t: hamiltonian_rwa(TWO_LEVEL, t), StateVector.basis(2, 0), 6.0, 13,
+             IntegrationConfig(), False),
+            # a first step far too large: the controller must reject it
+            (lambda t: hamiltonian_rwa(THREE_LEVEL, t), StateVector.normalized([1.0, 1.0j, 0.5]),
+             4.0, 3, IntegrationConfig(dt=1.0), True),
+            (lambda t: hamiltonian_rwa(FOUR_LEVEL, t), StateVector.basis(4, 1), 5.0, 21,
+             IntegrationConfig(rel_tol=1e-7, renormalize=True), False),
+            (lambda t: hamiltonian_full(PHASED_THREE_LEVEL, t), StateVector.basis(3, 0), 5.0, 11,
+             IntegrationConfig(dt=0.5), True),
+        ],
+        ids=["two-level", "three-level-rejected", "four-level", "three-level-full-phases"],
+    )
+    def test_equal_to_unmemoized_loop(self, hamiltonian, psi0, t_end, samples, cfg, must_reject):
+        states, accepted, rejected, calls = reference_integrate(
+            hamiltonian, psi0, t_end, samples, cfg
+        )
+        series = integrate_schrodinger(hamiltonian, psi0, t_end, samples, cfg)
+        assert np.array_equal(series.states, states)
+        assert (series.steps_accepted, series.steps_rejected) == (accepted, rejected)
+        assert rejected > 0 or not must_reject
+        attempted = accepted + rejected
+        # 12 calls per attempt, one check per acceptance, two endpoint checks
+        assert calls == 12 * attempted + accepted + 2
+        assert series.h_evals <= 5 * attempted + 3
 
 
 class TestIntegratorOrder:
