@@ -11,8 +11,10 @@ U(t) exp(-itQ) psi(0) with U(t) a diagonal phase matrix.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import ConditionError, InvalidInputError
 
 if TYPE_CHECKING:
-    from .propagator import Method
+    from .propagator import Method, SpectralPlan
 
 Pair = tuple[int, int]
 
@@ -69,12 +71,18 @@ class LevelSystem:
     optional drive phases phi_ij (radians).  All three are keyed by the level
     pair (i, j) with i < j; couplings and frequencies must cover every pair.
     All quantities share one angular-frequency unit; time is its inverse.
+
+    The three maps are stored read-only, so a system never changes after
+    construction; build a new one to change a coupling.  Its t-independent
+    closed-form work (condition reports, Q, frame frequencies, spectral
+    plans) is therefore done once per system and reused by every
+    ``trajectory`` call on it.
     """
 
     energies: tuple[float, ...]
-    couplings: dict[Pair, float]
-    drive_frequencies: dict[Pair, float]
-    phases: dict[Pair, float] = field(default_factory=dict)
+    couplings: Mapping[Pair, float]
+    drive_frequencies: Mapping[Pair, float]
+    phases: Mapping[Pair, float] = field(default_factory=dict)
 
     def __post_init__(self):
         energies = tuple(float(e) for e in self.energies)
@@ -103,9 +111,19 @@ class LevelSystem:
         for pair in pairs:
             phases.setdefault(pair, 0.0)
 
-        object.__setattr__(self, "couplings", couplings)
-        object.__setattr__(self, "drive_frequencies", freqs)
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "couplings", MappingProxyType(couplings))
+        object.__setattr__(self, "drive_frequencies", MappingProxyType(freqs))
+        object.__setattr__(self, "phases", MappingProxyType(phases))
+
+    def __reduce__(self):
+        # read-only maps do not pickle; a copy is rebuilt (and re-validated)
+        # from plain dicts and starts with empty caches
+        return LevelSystem, (
+            self.energies,
+            dict(self.couplings),
+            dict(self.drive_frequencies),
+            dict(self.phases),
+        )
 
     @property
     def n(self) -> int:
@@ -162,6 +180,31 @@ class LevelSystem:
         for a in arrays:
             a.setflags(write=False)
         return arrays
+
+    # The closed-form memo: what ``trajectory`` needs that does not depend on
+    # t.  A cached_property stores nothing when it raises, so a failure is
+    # recomputed (and raised again) on every call.
+
+    @cached_property
+    def _conditions(self) -> tuple[ConditionReport, ConditionReport]:
+        # at the default tolerance; cached only when both conditions hold
+        return _require_conditions(self, None)
+
+    @cached_property
+    def _q(self) -> CouplingMatrix:
+        return build_q(self)
+
+    @cached_property
+    def _frame_frequencies(self) -> np.ndarray:
+        # (0, omega_1, omega_1 + omega_2, ...): the frame phase rates of U(t)
+        acc = np.concatenate(([0.0], np.cumsum(self.sequential_frequencies())))
+        acc.setflags(write=False)
+        return acc
+
+    @cached_property
+    def _plans(self) -> dict[Method | None, SpectralPlan]:
+        # requested method (None for auto) -> plan of Q; filled by trajectory
+        return {}
 
 
 @dataclass(frozen=True)
@@ -298,9 +341,14 @@ def check_consistency(system: LevelSystem, tol: float | None = None) -> Conditio
     return ConditionReport(worst <= tol, residuals, worst, tol)
 
 
-def _accumulated_frequencies(system: LevelSystem) -> np.ndarray:
-    """(0, omega_1, omega_1 + omega_2, ...): the frame phase rates of U(t)."""
-    return np.concatenate(([0.0], np.cumsum(system.sequential_frequencies())))
+def _require_conditions(
+    system: LevelSystem, tol: float | None
+) -> tuple[ConditionReport, ConditionReport]:
+    resonance = check_resonance(system, tol)
+    consistency = check_consistency(system, tol)
+    if not (resonance.satisfied and consistency.satisfied):
+        raise ConditionError(resonance, consistency)
+    return resonance, consistency
 
 
 def frame_matrix(system: LevelSystem, t: float) -> np.ndarray:
@@ -309,7 +357,7 @@ def frame_matrix(system: LevelSystem, t: float) -> np.ndarray:
     The accumulated phases use the adjacent-pair drive frequencies; U is
     unitary for every t.
     """
-    return np.diag(np.exp(-1j * _accumulated_frequencies(system) * t))
+    return np.diag(np.exp(-1j * system._frame_frequencies * t))
 
 
 def hamiltonian_rwa(system: LevelSystem, t: float) -> np.ndarray:
@@ -358,7 +406,7 @@ def rotating_frame_hamiltonian(system: LevelSystem, t: float) -> np.ndarray:
     consistency conditions hold this equals Q for all t.
     """
     p = system._pairs
-    acc = _accumulated_frequencies(system)
+    acc = system._frame_frequencies
     h = np.diag((system.detunings() - acc).astype(complex))
     eps = p.omega - (acc[p.cols] - acc[p.rows])
     v = p.g * np.exp(1j * eps * t)
@@ -391,21 +439,25 @@ def trajectory(
 ) -> Trajectory:
     """Evolve psi0 to every time in ``times`` through U(t) exp(-itQ) psi0.
 
-    Requires the resonance and consistency conditions (checked once at
-    ``tol``, defaulting to 1e-9 relative to the largest drive frequency) and
-    zero phases; raises ConditionError otherwise.  Q and its spectral plan are
+    Requires the resonance and consistency conditions (checked at ``tol``,
+    defaulting to 1e-9 relative to the largest drive frequency) and zero
+    phases; raises ConditionError otherwise.  Q and its spectral plan are
     built once for all times; ``method`` optionally forces a propagator
-    method.  Every row must have unit norm within 1e-12, as a StateVector
-    must, or InvalidInputError is raised.
+    method.  The t-independent work (the default-tolerance verdict, Q, the
+    frame frequencies and one plan per requested method) is kept on the
+    system and reused by later calls; a check or plan that raises is
+    redone, and raises again, on every call.  Every row must have unit norm
+    within 1e-12, as a StateVector must, or InvalidInputError is raised.
     """
-    from .propagator import spectral_plan  # deferred: propagator builds on these types
+    # deferred, and looked up per call: propagator builds on these types
+    from .propagator import Method, spectral_plan
 
     if system.has_phases():
         raise InvalidInputError("closed-form evolution requires zero drive phases")
-    resonance = check_resonance(system, tol)
-    consistency = check_consistency(system, tol)
-    if not (resonance.satisfied and consistency.satisfied):
-        raise ConditionError(resonance, consistency)
+    if tol is None:
+        system._conditions  # the cached verdict; raises ConditionError unless both hold
+    else:
+        _require_conditions(system, tol)
     if psi0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
     times = np.array(times, dtype=float)
@@ -413,8 +465,11 @@ def trajectory(
         raise InvalidInputError("times must be a non-empty 1-D array")
     if not np.isfinite(times).all():
         raise InvalidInputError("sample times must be finite")
-    plan = spectral_plan(build_q(system), method)
-    frame = np.exp(-1j * np.outer(times, _accumulated_frequencies(system)))
+    key = None if method is None else Method(method)
+    plan = system._plans.get(key)
+    if plan is None:
+        plan = system._plans[key] = spectral_plan(system._q, key)
+    frame = np.exp(-1j * np.outer(times, system._frame_frequencies))
     amplitudes = frame * plan.evolve(psi0.amplitudes, times)
     defect = np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0)
     bad = ~(defect <= _NORM_ATOL)  # NaN counts as bad

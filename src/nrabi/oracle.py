@@ -11,6 +11,7 @@ requested explicitly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,10 @@ class IntegrationConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+        # a bool is an int, and NaN would switch the step budget off
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise InvalidInputError(f"max_steps must be an integer >= 1, got {steps!r}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from nrabi import CouplingMatrix
+
+# pyproject's `pythonpath = ["src"]` puts the sources on this process's path
+# only; the CLI tests that run `python -m nrabi.cli` need them too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "nrabi",

@@ -1,0 +1,192 @@
+"""The per-system closed-form memo behind ``trajectory`` and ``full_solution``.
+
+A ``LevelSystem`` keeps its t-independent work (the default-tolerance
+condition verdict, Q, the frame frequencies and one spectral plan per
+requested method) after the first call.  Later calls must give exactly what
+a freshly built, identical system gives, and a check or plan that raises
+must raise again on every call.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from nrabi import (
+    ConditionError,
+    DegenerateSpectrumError,
+    InvalidInputError,
+    LevelSystem,
+    Method,
+    StateVector,
+    full_solution,
+    trajectory,
+)
+
+# the modules, not the package's same-named functions; ``trajectory`` looks up
+# spectral_plan, check_* and build_q in them at call time
+MODEL = importlib.import_module("nrabi.model")
+PROPAGATOR = importlib.import_module("nrabi.propagator")
+
+TIMES = [0.0, 2.5, -1.25, 7.0, 2.5]
+
+
+def system_args(n, equal=False, seed=0):
+    """Energies and couplings of a resonant n-level system, drawn from a seed."""
+    rng = np.random.default_rng(seed)
+    energies = tuple(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1)))))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = np.full(len(pairs), 0.7) if equal else rng.uniform(0.2, 2.0, len(pairs))
+    return energies, dict(zip(pairs, values))
+
+
+def state(n, seed=0):
+    rng = np.random.default_rng(seed + 100)
+    return StateVector.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+# (n, equal couplings, requested method, route that must run): every route at n = 2..5
+ROUTES = [
+    (2, False, None, Method.TWO_LEVEL),
+    (3, True, None, Method.EQUAL_COUPLING),
+    (5, True, "equal_coupling", Method.EQUAL_COUPLING),
+    (3, False, None, Method.LAGRANGE3),
+    (4, False, None, Method.LAGRANGE4),
+    (3, False, Method.CLOSED_EIGEN3, Method.CLOSED_EIGEN3),
+    (5, False, None, Method.JACOBI),
+] + [(n, False, m, Method(m)) for n in (2, 3, 4, 5) for m in ("jacobi", "reference")]
+
+
+class CallCounter:
+    """Wraps a module function and records each call's second argument, if any."""
+
+    def __init__(self, monkeypatch, module, name):
+        self.calls = []
+        original = getattr(module, name)
+
+        def counted(*args):
+            self.calls.append(args[1] if len(args) > 1 else None)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n, equal, method, route", ROUTES)
+def test_repeated_calls_equal_a_fresh_system(n, equal, method, route):
+    energies, couplings = system_args(n, equal)
+    psi0 = state(n)
+    memoized = LevelSystem.resonant(energies, couplings)
+    for _ in range(2):
+        for t in TIMES:
+            fresh = LevelSystem.resonant(energies, couplings)
+            got = full_solution(memoized, psi0, t, method).amplitudes
+            assert np.array_equal(got, full_solution(fresh, psi0, t, method).amplitudes)
+        traj = trajectory(memoized, psi0, TIMES, method)
+        expected = trajectory(LevelSystem.resonant(energies, couplings), psi0, TIMES, method)
+        assert traj.method is route
+        assert np.array_equal(traj.amplitudes, expected.amplitudes)
+
+
+def test_plan_built_once_per_system_and_method(monkeypatch):
+    plans = CallCounter(monkeypatch, PROPAGATOR, "spectral_plan")
+    checks = CallCounter(monkeypatch, MODEL, "check_resonance")
+    builds = CallCounter(monkeypatch, MODEL, "build_q")
+    energies, couplings = system_args(3)
+    system = LevelSystem.resonant(energies, couplings)
+    psi0 = state(3)
+    for t in TIMES:
+        full_solution(system, psi0, t)
+    trajectory(system, psi0, TIMES)
+    for method in ("jacobi", Method.JACOBI, "jacobi"):
+        full_solution(system, psi0, 1.0, method)
+    assert plans.calls == [None, Method.JACOBI]
+    assert len(checks.calls) == 1
+    assert len(builds.calls) == 1
+    # another system, even an equal one, has its own memo
+    full_solution(LevelSystem.resonant(energies, couplings), psi0, 1.0)
+    assert plans.calls == [None, Method.JACOBI, None]
+
+
+def test_explicit_tolerance_is_checked_on_every_call(monkeypatch):
+    checks = CallCounter(monkeypatch, MODEL, "check_resonance")
+    psi0 = StateVector.basis(3, 0)
+    # consistency residual 1e-6: fails the default 3e-9, passes 1e-5
+    system = LevelSystem((0.0, 1.0, 3.0), {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0},
+                         {(0, 1): 1.0, (0, 2): 3.0 + 1e-6, (1, 2): 2.0})
+    for _ in range(2):
+        trajectory(system, psi0, TIMES, tol=1e-5)
+        with pytest.raises(ConditionError):
+            trajectory(system, psi0, TIMES)
+    # a satisfied default verdict does not hide a tighter explicit one
+    resonant = LevelSystem.resonant(*system_args(3))
+    trajectory(resonant, psi0, TIMES)
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        trajectory(resonant, psi0, TIMES, tol=0.0)
+    assert len(checks.calls) == 6
+
+
+def test_condition_error_raised_on_every_call(monkeypatch):
+    checks = CallCounter(monkeypatch, MODEL, "check_consistency")
+    system = LevelSystem((0.0, 1.0, 3.0), {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0},
+                         {(0, 1): 1.0, (0, 2): 2.5, (1, 2): 2.0})
+    for _ in range(3):
+        with pytest.raises(ConditionError) as excinfo:
+            full_solution(system, StateVector.basis(3, 0), 1.0)
+        assert excinfo.value.consistency.residuals["epsilon[0,2]"] == pytest.approx(0.5)
+    assert len(checks.calls) == 3
+
+
+def test_failed_plan_raises_on_every_call(monkeypatch):
+    plans = CallCounter(monkeypatch, PROPAGATOR, "spectral_plan")
+    system = LevelSystem.resonant(*system_args(3, equal=True))
+    psi0 = StateVector.basis(3, 0)
+    for _ in range(3):
+        with pytest.raises(DegenerateSpectrumError):
+            full_solution(system, psi0, 1.0, "lagrange3")
+    assert plans.calls == [Method.LAGRANGE3] * 3
+    # the failure left the memo usable for the routes that do work
+    assert trajectory(system, psi0, TIMES).method is Method.EQUAL_COUPLING
+    trajectory(system, psi0, TIMES)
+    assert plans.calls == [Method.LAGRANGE3] * 3 + [None]
+
+
+def test_without_phases_shares_the_memo(monkeypatch):
+    plans = CallCounter(monkeypatch, PROPAGATOR, "spectral_plan")
+    system = LevelSystem.resonant(*system_args(4))
+    assert system.without_phases() is system
+    psi0 = state(4)
+    first = full_solution(system, psi0, 3.0).amplitudes
+    again = full_solution(system.without_phases(), psi0, 3.0).amplitudes
+    assert np.array_equal(first, again)
+    assert plans.calls == [None]
+
+
+@st.composite
+def systems_and_times(draw):
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.1, 5.0), min_size=n - 1, max_size=n - 1))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(0.05, 2.0), min_size=len(pairs), max_size=len(pairs)))
+    else:
+        values = [draw(st.floats(0.05, 2.0))] * len(pairs)
+    args = (tuple(np.concatenate(([0.0], np.cumsum(gaps)))), dict(zip(pairs, values)))
+    times = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+    method = draw(st.sampled_from([None, "jacobi", "reference"]))
+    return args, times, method
+
+
+@given(systems_and_times())
+def test_single_time_calls_equal_one_batched_trajectory(case):
+    args, times, method = case
+    system = LevelSystem.resonant(*args)
+    psi0 = state(system.n)
+    rows = np.array([full_solution(system, psi0, t, method).amplitudes for t in times])
+    fresh = [full_solution(LevelSystem.resonant(*args), psi0, t, method).amplitudes for t in times]
+    assert np.array_equal(rows, np.array(fresh))
+    batched = trajectory(LevelSystem.resonant(*args), psi0, times, method).amplitudes
+    # T = 1 and T > 1 products may round differently in the last bits
+    assert np.max(np.abs(rows - batched)) <= 1e-12
+    assert np.array_equal(trajectory(system, psi0, times, method).amplitudes, batched)

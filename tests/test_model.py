@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +23,7 @@ from nrabi import (
     rotating_frame_hamiltonian,
     trajectory,
 )
+from nrabi.cli import Scenario, scenario_from_dict, scenario_to_dict
 from nrabi.propagator import SpectralPlan
 
 THREE_LEVEL = LevelSystem.resonant((0.0, 1.0, 3.0), {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0})
@@ -53,6 +57,32 @@ class TestLevelSystem:
     def test_phases_default_to_zero(self):
         assert THREE_LEVEL.phases == {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0}
         assert not THREE_LEVEL.has_phases()
+
+    def test_maps_are_read_only(self):
+        couplings = {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0}
+        system = LevelSystem.resonant((0.0, 1.0, 3.0), couplings, {(0, 2): 0.25})
+        for table in (system.couplings, system.drive_frequencies, system.phases):
+            with pytest.raises(TypeError):
+                table[(0, 1)] = -7.0
+            with pytest.raises(TypeError):
+                del table[(0, 1)]
+        couplings[(0, 1)] = 5.0  # the caller's dict is not the system's
+        assert system.couplings[(0, 1)] == 1.0
+        assert hamiltonian_rwa(system.without_phases(), 0.0)[0, 1] == 1.0
+
+    def test_read_only_maps_keep_equality_and_round_trips(self):
+        energies = (0.0, 1.0, 3.0)
+        couplings = {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0}
+        phased = LevelSystem.resonant(energies, couplings, {(1, 2): -0.5})
+        assert phased == LevelSystem.resonant(energies, couplings, {(1, 2): -0.5})
+        assert phased != THREE_LEVEL
+        assert phased.without_phases() == THREE_LEVEL
+        assert not phased.without_phases().has_phases()
+        data = scenario_to_dict(Scenario(phased, 0, 1.0, 11))
+        assert data["couplings"][2]["phi"] == -0.5
+        assert scenario_from_dict(data).system == phased
+        for clone in (pickle.loads(pickle.dumps(phased)), copy.deepcopy(phased), copy.copy(phased)):
+            assert clone == phased
 
 
 class TestStateVector:

@@ -108,6 +108,15 @@ class TestRejectsNonFiniteSettings:
         with pytest.raises(InvalidInputError, match=name):
             IntegrationConfig(**{name: value})
 
+    @pytest.mark.parametrize("steps", [-5, 0, 2.5, True, False, float("nan"), "10", None])
+    def test_max_steps(self, steps):
+        with pytest.raises(InvalidInputError, match="max_steps"):
+            IntegrationConfig(max_steps=steps)
+
+    @pytest.mark.parametrize("steps", [1, np.int64(50)])
+    def test_max_steps_accepts_integers(self, steps):
+        assert IntegrationConfig(max_steps=steps).max_steps == steps
+
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
     def test_t_end(self, t_end):
         with pytest.raises(InvalidInputError, match="t_end"):
