@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .propagator import Method, eigenvectors_three_level, jacobi_eigendecompose
 from .roots import closed_form_spectrum
 
 _DEFAULT_SAMPLES = 1001
-_KNOWN_OUTPUTS = ("populations", "amplitudes", "propagator", "conditions")
 
 
 class ScenarioError(ValueError):
@@ -49,8 +48,7 @@ class ScenarioError(ValueError):
 class Scenario:
     """Parsed scenario: the physical system plus run parameters.
 
-    ``initial`` is either a level index or a tuple of (re, im) pairs;
-    ``outputs`` is advisory metadata naming the quantities of interest.
+    ``initial`` is either a level index or a tuple of (re, im) pairs.
     """
 
     system: LevelSystem
@@ -58,7 +56,6 @@ class Scenario:
     t_end: float
     samples: int = _DEFAULT_SAMPLES
     method: str | None = None
-    outputs: tuple[str, ...] = field(default=("populations",))
 
     def initial_state(self) -> StateVector:
         if isinstance(self.initial, int):
@@ -67,15 +64,25 @@ class Scenario:
         return StateVector.normalized(amplitudes)
 
 
+def _integer(value, what: str) -> int:
+    # JSON gives int or float; a bool or a fraction would silently truncate
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
-        levels = [float(x) for x in data["levels"]]
+        raw_levels = data["levels"]
+        if not isinstance(raw_levels, (list, tuple)):
+            raise ScenarioError(f"levels must be an array of numbers, got {raw_levels!r}")
+        levels = [float(x) for x in raw_levels]
         entries = data["couplings"]
         couplings = {}
         freqs = {}
         phases = {}
-        for item in entries:
-            pair = (int(item["i"]), int(item["j"]))
+        for k, item in enumerate(entries):
+            pair = tuple(_integer(item[key], f"couplings[{k}].{key}") for key in "ij")
             couplings[pair] = float(item["g"])
             freqs[pair] = float(item["omega"])
             if "phi" in item:
@@ -101,10 +108,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         t_end = float(data["t_end"])
         if not math.isfinite(t_end) or t_end < 0.0:
             raise ScenarioError(f"t_end must be finite and non-negative, got {t_end!r}")
-        raw_samples = data.get("samples", _DEFAULT_SAMPLES)
-        if isinstance(raw_samples, bool) or not float(raw_samples).is_integer():
-            raise ScenarioError(f"samples must be an integer, got {raw_samples!r}")
-        samples = int(raw_samples)
+        samples = _integer(data.get("samples", _DEFAULT_SAMPLES), "samples")
         if samples < 1 or (t_end > 0.0 and samples < 2):
             raise ScenarioError("samples must be at least 2 (1 when t_end is 0)")
         method = data.get("method")
@@ -112,11 +116,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             method = str(method)
             if method != "auto" and method not in Method._value2member_map_:
                 raise ScenarioError(f"unknown method {method!r}")
-        outputs = tuple(str(o) for o in data.get("outputs", ("populations",)))
-        for o in outputs:
-            if o not in _KNOWN_OUTPUTS:
-                raise ScenarioError(f"unknown output kind {o!r}")
-        return Scenario(system, initial, t_end, samples, method, outputs)
+        return Scenario(system, initial, t_end, samples, method)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -147,8 +147,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
     if scenario.method is not None:
         data["method"] = scenario.method
-    if scenario.outputs != ("populations",):
-        data["outputs"] = list(scenario.outputs)
     return data
 
 
@@ -189,26 +187,22 @@ def _times(scenario: Scenario) -> np.ndarray:
     return np.linspace(0.0, scenario.t_end, scenario.samples)
 
 
-def _report_lines(name: str, report) -> list[str]:
-    lines = [
-        f"  {name:<12} {label:<16} {residual:.6e}"
-        for label, residual in sorted(report.residuals.items())
-    ]
-    verdict = "OK" if report.satisfied else "VIOLATED"
-    lines.append(f"{name}: {verdict} (worst {report.worst:.1e}, tol {report.tolerance:.1e})")
-    return lines
+def _print_reports(resonance, consistency, stream) -> None:
+    for name, report in (("resonance", resonance), ("consistency", consistency)):
+        for label, residual in sorted(report.residuals.items()):
+            print(f"  {name:<12} {label:<16} {residual:.6e}", file=stream)
+        verdict = "OK" if report.satisfied else "VIOLATED"
+        print(
+            f"{name}: {verdict} (worst {report.worst:.1e}, tol {report.tolerance:.1e})",
+            file=stream,
+        )
 
 
-def _check_conditions(system: LevelSystem, stream) -> bool:
-    resonance = check_resonance(system)
-    consistency = check_consistency(system)
-    ok = resonance.satisfied and consistency.satisfied
-    if not ok:
-        print("condition check failed:", file=stream)
-        for name, report in (("resonance", resonance), ("consistency", consistency)):
-            for line in _report_lines(name, report):
-                print(line, file=stream)
-    return ok
+def _condition_failure(exc: ConditionError) -> int:
+    # the verdict of a run comes from trajectory, which checks the conditions first
+    print("condition check failed:", file=sys.stderr)
+    _print_reports(exc.resonance, exc.consistency, sys.stderr)
+    return 2
 
 
 def _resolve_method(scenario: Scenario, flag: str | None):
@@ -222,11 +216,13 @@ def cmd_simulate(scenario_path: str, out_path: str, method: str | None = None) -
     """Closed-form evolution of a scenario, written as a CSV trajectory."""
     scenario = load_scenario(scenario_path)
     system = scenario.system
-    if not _check_conditions(system, sys.stderr):
-        return 2
+    psi0 = scenario.initial_state()
     forced = _resolve_method(scenario, method)
     times = _times(scenario)
-    traj = trajectory(system, scenario.initial_state(), times, forced)
+    try:
+        traj = trajectory(system, psi0, times, forced)
+    except ConditionError as exc:
+        return _condition_failure(exc)
     n = system.n
     pops = traj.populations()
     rows = np.empty((len(times), 1 + 3 * n))
@@ -253,9 +249,7 @@ def cmd_verify(scenario_path: str) -> int:
     resonance = check_resonance(scenario.system)
     consistency = check_consistency(scenario.system)
     print(f"{'condition':<14} {'pair':<16} residual")
-    for name, report in (("resonance", resonance), ("consistency", consistency)):
-        for line in _report_lines(name, report):
-            print(line)
+    _print_reports(resonance, consistency, sys.stdout)
     return 0 if (resonance.satisfied and consistency.satisfied) else 2
 
 
@@ -264,9 +258,12 @@ def cmd_eigen(scenario_path: str) -> int:
     scenario = load_scenario(scenario_path)
     q = build_q(scenario.system)
     jacobi = jacobi_eigendecompose(q)
-    closed = None
+    closed = refusal = None
     if q.n in (3, 4):
-        closed = closed_form_spectrum(q)
+        try:
+            closed = closed_form_spectrum(q)
+        except InvalidInputError as exc:  # the radical solver cannot certify this Q
+            refusal = exc
     print(f"eigenvalues (n = {q.n})")
     print(f"  {'#':>2}  {'closed-form':>22}  {'jacobi':>22}  |difference|")
     for k in range(q.n):
@@ -276,7 +273,9 @@ def cmd_eigen(scenario_path: str) -> int:
         else:
             cf = closed.eigenvalues[k]
             print(f"  {k:>2}  {cf:>22.15g}  {jac:>22.15g}  {abs(cf - jac):.3e}")
-    if q.n == 3:
+    if refusal is not None:
+        print(f"closed-form spectrum unavailable: {refusal}")
+    elif q.n == 3:
         try:
             decomp = eigenvectors_three_level(q, closed)
         except DegenerateSpectrumError as exc:
@@ -299,19 +298,20 @@ def cmd_compare(
     scenario = load_scenario(scenario_path)
     system = scenario.system
     stripped = system.without_phases()
-    if not _check_conditions(stripped, sys.stderr):
-        return 2
     psi0 = scenario.initial_state()
     forced = _resolve_method(scenario, method)
     times = _times(scenario)
     n = system.n
+    try:
+        closed = trajectory(stripped, psi0, times, forced).populations()
+    except ConditionError as exc:
+        return _condition_failure(exc)
 
     # built before any integration so bad tolerances fail even when t_end is 0
     cfg = IntegrationConfig(
         rel_tol=rtol if rtol is not None else IntegrationConfig.rel_tol,
         abs_tol=atol if atol is not None else IntegrationConfig.abs_tol,
     )
-    closed = trajectory(stripped, psi0, times, forced).populations()
     runs = {}
     if scenario.t_end == 0.0:
         rwa_pops = closed.copy()
@@ -399,12 +399,6 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args.scenario, args.out, args.method, args.rtol, args.atol)
         raise ScenarioError(f"unknown command {args.command!r}")
-    except ConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for name, report in (("resonance", exc.resonance), ("consistency", exc.consistency)):
-            for line in _report_lines(name, report):
-                print(line, file=sys.stderr)
-        return 2
     except (
         ScenarioError,
         InvalidInputError,

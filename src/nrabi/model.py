@@ -439,44 +439,42 @@ def trajectory(
 ) -> Trajectory:
     """Evolve psi0 to every time in ``times`` through U(t) exp(-itQ) psi0.
 
-    Requires the resonance and consistency conditions (checked at ``tol``,
-    defaulting to 1e-9 relative to the largest drive frequency) and zero
-    phases; raises ConditionError otherwise.  Q and its spectral plan are
-    built once for all times; ``method`` optionally forces a propagator
-    method.  The t-independent work (the default-tolerance verdict, Q, the
-    frame frequencies and one plan per requested method) is kept on the
-    system and reused by later calls; a check or plan that raises is
-    redone, and raises again, on every call.  Every row must have unit norm
-    within 1e-12, as a StateVector must, or InvalidInputError is raised.
+    Requires the resonance and consistency conditions (checked first, at
+    ``tol``, defaulting to 1e-9 relative to the largest drive frequency;
+    ConditionError otherwise), then zero drive phases.  Q and its spectral
+    plan are built once for all times; ``method`` optionally forces a
+    propagator method.  The t-independent work (the default-tolerance
+    verdict, Q, the frame frequencies and one plan per requested method) is
+    kept on the system and reused by later calls; a check or plan that
+    raises is redone, and raises again, on every call.  ``times`` must be a
+    non-empty 1-D array of finite values; the plan rejects anything else
+    before any phase is computed.  Every row must have unit norm within
+    1e-12, as a StateVector must, or InvalidInputError is raised.
     """
     # deferred, and looked up per call: propagator builds on these types
     from .propagator import Method, spectral_plan
 
-    if system.has_phases():
-        raise InvalidInputError("closed-form evolution requires zero drive phases")
     if tol is None:
         system._conditions  # the cached verdict; raises ConditionError unless both hold
     else:
         _require_conditions(system, tol)
+    if system.has_phases():
+        raise InvalidInputError("closed-form evolution requires zero drive phases")
     if psi0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
-    times = np.array(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise InvalidInputError("times must be a non-empty 1-D array")
-    if not np.isfinite(times).all():
-        raise InvalidInputError("sample times must be finite")
     key = None if method is None else Method(method)
     plan = system._plans.get(key)
     if plan is None:
         plan = system._plans[key] = spectral_plan(system._q, key)
-    frame = np.exp(-1j * np.outer(times, system._frame_frequencies))
-    amplitudes = frame * plan.evolve(psi0.amplitudes, times)
+    times = np.array(times, dtype=float)
+    evolved = plan.evolve(psi0.amplitudes, times)  # rejects bad times before any phase
+    amplitudes = np.exp(-1j * np.outer(times, system._frame_frequencies)) * evolved
     defect = np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0)
     bad = ~(defect <= _NORM_ATOL)  # NaN counts as bad
     if bad.any():
         k = int(np.argmax(bad))
         raise InvalidInputError(
-            f"state norm at t = {times[k]!r} deviates from 1 by {defect[k]!r}, "
+            f"state norm at t = {float(times[k])!r} deviates from 1 by {float(defect[k]):.3e}, "
             f"more than {_NORM_ATOL} ({plan.method.value} route)"
         )
     times.setflags(write=False)

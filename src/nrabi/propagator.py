@@ -88,9 +88,12 @@ class EigenDecomposition:
 
 
 def _as_times(times) -> np.ndarray:
+    # the one check on sample times, made before any phase is computed
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1:
-        raise InvalidInputError("times must be a 1-D array")
+    if t.ndim != 1 or t.size == 0:
+        raise InvalidInputError("times must be a non-empty 1-D array")
+    if not np.isfinite(t).all():
+        raise InvalidInputError("sample times must be finite")
     return t
 
 
@@ -117,16 +120,6 @@ class SpectralPlan:
     def _phases(self, t: np.ndarray) -> np.ndarray:
         return np.exp(-1j * np.outer(t, self.spectrum.eigenvalues))
 
-    def _two_level_factors(self, t: np.ndarray):
-        # exp(-itgX) = cos(gt) I - i sin(gt) X with X the swap matrix
-        return np.cos(self.coupling * t), -1j * np.sin(self.coupling * t)
-
-    def _equal_coupling_factors(self, t: np.ndarray):
-        # exp(-itgR) = phase I + shared J with J the all-ones matrix
-        phase = np.exp(1j * self.coupling * t)
-        shared = phase * (np.exp(-1j * self.n * self.coupling * t) - 1.0) / self.n
-        return phase, shared
-
     def _powers(self, start: np.ndarray) -> np.ndarray:
         # start, Q start, ..., Q^{n-1} start by repeated multiplication
         out = [start]
@@ -134,29 +127,40 @@ class SpectralPlan:
             out.append(self.q @ out[-1])
         return np.array(out)
 
-    def propagators(self, times) -> np.ndarray:
-        """exp(-itQ) at every time, shape (T, n, n); t = 0 gives the exact identity."""
-        t = _as_times(times)
-        n = self.n
+    def _apply(self, block: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """exp(-itQ) @ block at every time, shape (T, n, k); t = 0 gives block exactly."""
+        n, k = block.shape
         method = self.method
         if method is Method.TWO_LEVEL:
-            c, s = self._two_level_factors(t)
-            out = c[:, None, None] * np.eye(2) + s[:, None, None] * np.eye(2)[::-1]
+            # exp(-itgX) = cos(gt) I - i sin(gt) X with X the swap matrix
+            c = np.cos(self.coupling * t)[:, None, None]
+            s = -1j * np.sin(self.coupling * t)[:, None, None]
+            out = c * block + s * block[::-1]
         elif method is Method.EQUAL_COUPLING:
-            phase, shared = self._equal_coupling_factors(t)
-            out = phase[:, None, None] * np.eye(n) + shared[:, None, None]
+            # exp(-itgR) = phase I + shared J with J the all-ones matrix
+            phase = np.exp(1j * self.coupling * t)[:, None, None]
+            shared = phase * (np.exp(-1j * n * self.coupling * t)[:, None, None] - 1.0) / n
+            out = phase * block + shared * block.sum(axis=0)
         elif method in _LAGRANGE:
-            powers = self._powers(np.eye(n)).reshape(n, n * n)
-            out = (self._phases(t) @ self.basis @ powers).reshape(t.size, n, n)
+            powers = self._powers(block).reshape(n, n * k)
+            out = (self._phases(t) @ self.basis @ powers).reshape(t.size, n, k)
         elif method in _EIGEN:
+            # U(t) = V diag(e^{-it lambda}) V^T is symmetric, so column j of
+            # U(t) X is the row (e^{-it lambda} * c_j) V^T with c = V^T X; one
+            # product then covers every time and column
             v = self.vectors
-            out = (v * self._phases(t)[:, None, :]) @ v.T
+            rows = self._phases(t)[:, None, :] * (v.T @ block).T
+            out = (rows.reshape(-1, n) @ v.T).reshape(t.size, k, n).transpose(0, 2, 1)
         else:
             from .oracle import reference_expm  # deferred: oracle imports model types
 
-            out = np.array([reference_expm(-1j * x * self.q) for x in t]).reshape(t.size, n, n)
-        out[t == 0.0] = np.eye(n)
+            out = np.array([reference_expm(-1j * x * self.q) @ block for x in t])
+        out[t == 0.0] = block
         return out
+
+    def propagators(self, times) -> np.ndarray:
+        """exp(-itQ) at every time, shape (T, n, n); t = 0 gives the exact identity."""
+        return self._apply(np.eye(self.n), _as_times(times))
 
     def evolve(self, psi0, times) -> np.ndarray:
         """exp(-itQ) psi0 at every time, shape (T, n), without forming the propagators."""
@@ -164,24 +168,7 @@ class SpectralPlan:
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (self.n,):
             raise InvalidInputError(f"state must have shape ({self.n},), got {psi.shape}")
-        method = self.method
-        if method is Method.TWO_LEVEL:
-            c, s = self._two_level_factors(t)
-            out = np.outer(c, psi) + np.outer(s, psi[::-1])
-        elif method is Method.EQUAL_COUPLING:
-            phase, shared = self._equal_coupling_factors(t)
-            out = np.outer(phase, psi) + (shared * psi.sum())[:, None]
-        elif method in _LAGRANGE:
-            out = self._phases(t) @ self.basis @ self._powers(psi)
-        elif method in _EIGEN:
-            v = self.vectors
-            out = (self._phases(t) * (v.T @ psi)) @ v.T
-        else:
-            from .oracle import reference_expm  # deferred: oracle imports model types
-
-            out = np.array([reference_expm(-1j * x * self.q) @ psi for x in t]).reshape(t.size, self.n)
-        out[t == 0.0] = psi
-        return out
+        return self._apply(psi[:, None], t)[:, :, 0]
 
 
 def _lagrange_basis(spectrum: Spectrum) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nrabi import cli, model
 from nrabi.cli import (
     Scenario,
     cmd_compare,
@@ -68,6 +69,12 @@ class TestScenarioRoundTrip:
         scenario = scenario_from_dict(data)
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
+    def test_outputs_key_is_ignored(self):
+        data = json.loads((SCENARIOS / "two_level_rabi.json").read_text(encoding="utf-8"))
+        scenario = scenario_from_dict({**data, "outputs": ["anything"]})
+        assert scenario == scenario_from_dict(data)
+        assert "outputs" not in scenario_to_dict(scenario)
+
     def test_initial_amplitudes_are_normalized(self):
         scenario = scenario_from_dict(
             {
@@ -113,6 +120,28 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert "epsilon[0,2]" in err and "5.0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_conditions_checked_once_per_run(self, tmp_path, monkeypatch, command):
+        calls = []
+        for module in (cli, model):
+            for name in ("check_resonance", "check_consistency"):
+                check = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *args, _check=check: calls.append(args) or _check(*args)
+                )
+        scenario = str(SCENARIOS / "three_level_consistent.json")
+        assert main([command, scenario, "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == 2
+
+    def test_inconsistent_compare_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        scenario = str(SCENARIOS / "three_level_inconsistent.json")
+        assert main(["compare", scenario, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("condition check failed:\n")
+        assert "consistency: VIOLATED" in err and "epsilon[0,2]" in err
         assert not out.exists()
 
     def test_method_agreement_jacobi_vs_lagrange(self, tmp_path):
@@ -201,6 +230,16 @@ class TestRejectsNonFiniteAndMistypedInput:
     def test_fractional_samples(self, tmp_path, capsys):
         assert "samples" in self.run_simulate(tmp_path, capsys, samples=2.7)
 
+    @pytest.mark.parametrize("index", [0.9, True])
+    def test_non_integral_coupling_index(self, tmp_path, capsys, index):
+        coupling = {"i": index, "j": 1, "g": 1.0, "omega": 1.0}
+        err = self.run_simulate(tmp_path, capsys, couplings=[coupling])
+        assert "couplings[0].i must be an integer" in err
+
+    @pytest.mark.parametrize("levels", ["01", "013"])
+    def test_levels_not_an_array(self, tmp_path, capsys, levels):
+        assert "levels must be an array" in self.run_simulate(tmp_path, capsys, levels=levels)
+
     @pytest.mark.parametrize("initial", [True, "0", {"re": 1.0}, [1.0, 0.0]])
     def test_initial_not_an_index_or_pairs(self, tmp_path, capsys, initial):
         err = self.run_simulate(tmp_path, capsys, initial=initial)
@@ -282,6 +321,30 @@ class TestEigen:
         out = capsys.readouterr().out
         assert "unavailable" in out
         assert "eigenvectors" not in out
+
+    def test_radical_solver_refusal_is_reported(self, tmp_path, capsys):
+        # a real symmetric Q whose quartic the radical solver will not certify
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        path = write_scenario(
+            tmp_path,
+            "near_equal.json",
+            {
+                "levels": [0.0, 1.0, 2.0, 3.0],
+                "couplings": [
+                    {"i": i, "j": j, "g": 1.0 + 1e-6 * ((i, j) == (0, 1)), "omega": float(j - i)}
+                    for i, j in pairs
+                ],
+                "initial": 0,
+                "t_end": 1.0,
+                "samples": 3,
+            },
+        )
+        assert main(["eigen", path]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines()]
+        assert sum(row[1:2] == ["unavailable"] for row in rows) == 4
+        assert "closed-form spectrum unavailable: " in out
+        assert main(["simulate", path, "--out", str(tmp_path / "out.csv")]) == 0
 
     def test_g3_zero_eigenvectors_match_closed_form(self, tmp_path, capsys):
         g1, g2 = 1.3, 0.7

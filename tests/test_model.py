@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,28 @@ class TestTrajectory:
     def test_conditions_checked(self):
         with pytest.raises(ConditionError):
             trajectory(detuned_three_level(2.5), StateVector.basis(3, 0), [0.0, 1.0])
+
+    def test_conditions_checked_before_phases(self):
+        detuned = detuned_three_level(2.5)
+        phased = LevelSystem(
+            detuned.energies, detuned.couplings, detuned.drive_frequencies, {(0, 1): 0.1}
+        )
+        with pytest.raises(ConditionError):
+            trajectory(phased, StateVector.basis(3, 0), [0.0, 1.0])
+
+    def test_norm_message_prints_plain_floats(self):
+        # near-equal couplings: the forced Lagrange route misses the 1e-12 norm
+        system = LevelSystem.resonant(
+            (0.0, 1.0, 2.0), {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0001}
+        )
+        times = np.linspace(0.0, 10.0, 101)
+        with pytest.raises(InvalidInputError) as excinfo:
+            trajectory(system, StateVector.basis(3, 0), times, "lagrange3")
+        assert re.fullmatch(
+            r"state norm at t = \d+\.\d+ deviates from 1 by \d\.\d{3}e-\d\d, "
+            r"more than 1e-12 \(lagrange3 route\)",
+            str(excinfo.value),
+        )
 
     @pytest.mark.parametrize("times", [[0.0, float("nan")], [float("inf")], [], [[1.0]]])
     def test_rejects_bad_times(self, times):

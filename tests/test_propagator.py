@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,10 +8,13 @@ from hypothesis import strategies as st
 from nrabi import (
     DegenerateSpectrumError,
     InvalidInputError,
+    LevelSystem,
     Method,
     Spectrum,
+    StateVector,
     closed_form_spectrum,
     eigenvectors_three_level,
+    full_solution,
     jacobi_eigendecompose,
     lagrange_coeffs,
     propagator,
@@ -18,6 +23,7 @@ from nrabi import (
     propagator_lagrange,
     propagator_two_level,
     reference_expm,
+    spectral_plan,
 )
 
 from conftest import coupling_matrix, random_coupling_matrix
@@ -313,3 +319,23 @@ class TestSharedInvariants:
             a = propagator(q, t, Method.CLOSED_EIGEN3).matrix
             b = propagator_lagrange(q, t).matrix
             assert np.max(np.abs(a - b)) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("method", [None, "lagrange3", "closed_eigen3", "jacobi", "reference"])
+def test_non_finite_time_raises_before_any_phase(bad, method):
+    system = LevelSystem.resonant((0.0, 1.0, 3.0), {(0, 1): 0.7, (0, 2): 1.1, (1, 2): 0.4})
+    q = coupling_matrix([0.7, 1.1, 0.4], 3)
+    plan = spectral_plan(q, method)
+    psi = StateVector.basis(3, 0)
+    calls = (
+        lambda: propagator(q, bad, method),
+        lambda: plan.propagators([0.0, bad]),
+        lambda: plan.evolve(psi.amplitudes, [bad]),
+        lambda: full_solution(system, psi, bad, method),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN phase would warn first
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="finite"):
+                call()
