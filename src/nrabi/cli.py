@@ -258,12 +258,7 @@ def cmd_eigen(scenario_path: str) -> int:
     scenario = load_scenario(scenario_path)
     q = build_q(scenario.system)
     jacobi = jacobi_eigendecompose(q)
-    closed = refusal = None
-    if q.n in (3, 4):
-        try:
-            closed = closed_form_spectrum(q)
-        except InvalidInputError as exc:  # the radical solver cannot certify this Q
-            refusal = exc
+    closed = closed_form_spectrum(q) if q.n in (3, 4) else None
     print(f"eigenvalues (n = {q.n})")
     print(f"  {'#':>2}  {'closed-form':>22}  {'jacobi':>22}  |difference|")
     for k in range(q.n):
@@ -273,9 +268,7 @@ def cmd_eigen(scenario_path: str) -> int:
         else:
             cf = closed.eigenvalues[k]
             print(f"  {k:>2}  {cf:>22.15g}  {jac:>22.15g}  {abs(cf - jac):.3e}")
-    if refusal is not None:
-        print(f"closed-form spectrum unavailable: {refusal}")
-    elif q.n == 3:
+    if q.n == 3:
         try:
             decomp = eigenvectors_three_level(q, closed)
         except DegenerateSpectrumError as exc:

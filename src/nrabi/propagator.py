@@ -265,6 +265,8 @@ def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDeco
     magnitudes, and the unnormalized elimination form
     (lambda g3 + g1 g2, lambda g2 + g1 g3, lambda^2 - g1^2) is used instead.
     A vanishing D_j means the eigendirection is not isolated: degeneracy error.
+    D_j is the derivative of the characteristic polynomial, so it vanishes on
+    every eigenvalue pair that ``closed_form_spectrum`` merges.
     """
     if q.n != 3:
         raise InvalidInputError(f"closed-form eigenvectors need n = 3, got n = {q.n}")
@@ -368,16 +370,8 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
         elif equal_coupling_value(q) is not None:
             method = Method.EQUAL_COUPLING
         elif q.n in (3, 4):
-            # a spectrum the radical solvers cannot certify counts as unsafe
-            try:
-                spectrum = closed_form_spectrum(q)
-                safe = (
-                    spectrum.degeneracy_gap
-                    > DEGENERACY_GAP_RTOL * spectrum.spectral_radius
-                )
-            except InvalidInputError:
-                safe = False
-            if safe:
+            spectrum = closed_form_spectrum(q)
+            if spectrum.degeneracy_gap > DEGENERACY_GAP_RTOL * spectrum.spectral_radius:
                 method = Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4
             else:
                 method = Method.JACOBI

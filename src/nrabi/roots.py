@@ -2,15 +2,16 @@
 
 The characteristic polynomial of a zero-diagonal real symmetric Q is a
 depressed cubic (n = 3) or a depressed quartic (n = 4) in the couplings, and
-its all-real roots come out of the classical radical formulas: Cardano for the
-cubic, Euler's resolvent construction for the quartic.  Both are assembled in
-complex arithmetic, so branch and sign choices matter; the conventions used
-here are spelled out on each solver.
+its roots are all real.  So both solvers work in real arithmetic: Viete's
+trigonometric form for the cubic, and Ferrari's split of the quartic into two
+real quadratics, whose shift is the largest root of a resolvent cubic solved
+by Viete too.  Roots closer than 1e-4 of the spectral radius are reported as
+one repeated value (see ``_finish_spectrum``), so every real symmetric 3x3
+and 4x4 Q gets a spectrum.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,13 +20,12 @@ import numpy as np
 from .errors import InvalidInputError
 from .model import CouplingMatrix
 
-_SIGMA3 = cmath.exp(2j * math.pi / 3)  # primitive cube root of unity
-
 #: relative eigenvalue gap below which the Lagrange coefficient denominators
 #: lose too much precision and callers must diagonalize instead
 DEGENERACY_GAP_RTOL = 1e-8
 
-_IMAG_RTOL = 1e-10
+# neighbouring roots within this fraction of the spectral radius form one cluster
+_CLUSTER_RTOL = 1e-4
 _RESIDUAL_RTOL = 1e-9
 
 
@@ -50,8 +50,8 @@ class QuarticCoeffs:
 class Spectrum:
     """All-real eigenvalues sorted descending, with degeneracy metadata.
 
-    ``degeneracy_gap`` is the minimum pairwise absolute eigenvalue difference;
-    it drives the choice between polynomial-coefficient and diagonalization
+    ``degeneracy_gap`` is the minimum pairwise absolute eigenvalue difference
+    (0 when the radical solvers merged a cluster); it drives the choice between polynomial-coefficient and diagonalization
     propagator paths.
     """
 
@@ -117,193 +117,136 @@ def char_poly_4(q: CouplingMatrix) -> QuarticCoeffs:
     return QuarticCoeffs(p=p, q=qq, r=r)
 
 
-def _real_roots(values, poly, dpoly) -> np.ndarray:
-    """Strip O(eps) imaginary residue, then polish each root with one Newton step.
+def _horner(poly: tuple[float, ...], x: float) -> float:
+    y = 0.0
+    for c in poly:
+        y = y * x + c
+    return y
 
-    Imaginary parts above 1e-10 * max(1, |lambda|) mean the coefficients did
-    not come from a real symmetric matrix.  The Newton step is kept only when
-    it actually reduces |poly|, which protects multiple roots where the
-    derivative vanishes.
+
+def _derivative(poly: tuple[float, ...]) -> tuple[float, ...]:
+    degree = len(poly) - 1
+    return tuple(c * (degree - k) for k, c in enumerate(poly[:-1]))
+
+
+def _newton(f: tuple[float, ...], df: tuple[float, ...], x: float, steps: int) -> float:
+    """Up to ``steps`` Newton steps on the polynomial f, each kept only if it reduces |f|.
+
+    The guard protects multiple roots, where the derivative vanishes.
     """
-    out = np.empty(len(values))
-    for k, z in enumerate(values):
-        bound = _IMAG_RTOL * max(1.0, abs(z))
-        if abs(z.imag) > bound:
+    for _ in range(steps):
+        fx = _horner(f, x)
+        dfx = _horner(df, x)
+        if dfx == 0.0:
+            break
+        candidate = x - fx / dfx
+        if not abs(_horner(f, candidate)) < abs(fx):
+            break
+        x = candidate
+    return x
+
+
+def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
+    """Polish, check, sort and cluster the real roots of the monic ``poly``.
+
+    Each root gets one Newton step and must then leave a small residual.  Then
+    every run of sorted roots whose neighbouring gaps are at most 1e-4 of the
+    spectral radius becomes one value repeated: a root of multiplicity m is
+    only eps^(1/m) accurate when taken from the coefficients, but it is a
+    simple root of the (m-1)-th derivative, so Newton on that derivative,
+    started from the cluster mean, refines it.  A merged pair of distinct
+    roots lies within 5e-5 of the radius of each, a merged triple within
+    1e-4; the cluster's gap of 0 sends the propagator dispatch to
+    diagonalization.
+    """
+    degree = len(poly) - 1
+    derivs = [poly]
+    for _ in range(degree):
+        derivs.append(_derivative(derivs[-1]))
+    lam = sorted((_newton(poly, derivs[1], x, 1) for x in roots), reverse=True)
+    for x in lam:
+        if not abs(_horner(poly, x)) <= _RESIDUAL_RTOL * max(1.0, abs(x) ** degree):
             raise InvalidInputError(
-                f"root {z!r} has imaginary part above {bound:.1e}; "
+                f"root {x!r} fails the characteristic polynomial residual bound; "
                 "coefficients are not from a real symmetric matrix"
             )
-        x = z.real
-        fx = poly(x)
-        dfx = dpoly(x)
-        if dfx != 0.0:
-            candidate = x - fx / dfx
-            if abs(poly(candidate)) < abs(fx):
-                x = candidate
-        out[k] = x
-    return out
+    radius = max(abs(x) for x in lam)
+    start = 0
+    for k in range(1, degree + 1):
+        if k == degree or lam[k - 1] - lam[k] > _CLUSTER_RTOL * radius:
+            size = k - start
+            if size > 1:
+                mean = sum(lam[start:k]) / size
+                lam[start:k] = [_newton(derivs[size - 1], derivs[size], mean, 3)] * size
+            start = k
+    gap = min(lam[k] - lam[k + 1] for k in range(degree - 1))
+    return Spectrum(eigenvalues=np.array(lam), degeneracy_gap=gap, n=degree)
 
 
-def _finish_spectrum(values: np.ndarray, poly, degree: int) -> Spectrum:
-    order = np.argsort(-values, kind="stable")  # descending, ties keep assembly order
-    lam = values[order]
-    radius = float(np.max(np.abs(lam)))
-    if radius > 0.0 and abs(float(np.sum(lam))) > 1e-9 * radius:
-        raise InvalidInputError("root sum deviates from the zero trace")
-    for x in lam:
-        if abs(poly(x)) > _RESIDUAL_RTOL * max(1.0, abs(x) ** degree):
-            raise InvalidInputError(
-                f"root {x!r} fails the characteristic polynomial residual bound"
-            )
-    gap = float(np.min(np.abs(np.diff(lam)))) if len(lam) > 1 else math.inf
-    return Spectrum(eigenvalues=lam, degeneracy_gap=gap, n=degree)
+def _viete(c1: float, c0: float) -> list[float]:
+    """Roots r cos(theta/3 - 2 pi k/3), k = 0, 1, 2, of lambda^3 - c1*lambda - c0 = 0.
+
+    r = 2 sqrt(c1/3) and cos(theta) = 4 c0 / r^3, with c1 clamped at 0 and
+    the cosine at [-1, 1].  theta lies in [0, pi], so the roots come out
+    descending and k = 0 is the largest, also when it is a double or triple
+    root.
+    """
+    r = 2.0 * math.sqrt(max(c1, 0.0) / 3.0)
+    cube = r ** 3
+    ratio = 4.0 * c0 / cube if cube > 0.0 else 0.0
+    third = math.acos(min(1.0, max(-1.0, ratio))) / 3.0
+    return [r * math.cos(third - 2.0 * math.pi * k / 3.0) for k in range(3)]
 
 
 def solve_cubic_depressed(coeffs: CubicCoeffs) -> Spectrum:
-    """All three real roots of lambda^3 - c1*lambda - c0 = 0 by Cardano's formula.
+    """All three real roots of lambda^3 - c1*lambda - c0 = 0 by Viete's trigonometric form.
 
-    The two cube-root terms are paired by Vieta: alpha_plus is a principal
-    complex cube root and alpha_minus = (c1/3) / alpha_plus, which keeps
-    alpha_plus * alpha_minus = c1/3 without an independent branch choice.  Of
-    the two radicand branches c0/2 +/- sqrt((c0/2)^2 - (c1/3)^3) the larger in
-    magnitude is used; for three real roots the branches are conjugates of
-    equal magnitude, and the choice only matters when roundoff pushes the
-    discriminant across zero, where the small branch cancels catastrophically.
-
-    Radical formulas lose precision as roots coalesce: spectra with relative
-    gaps around 1e-5 or below can fail the imaginary-residue or residual
-    validation and raise InvalidInputError even for legitimate symmetric-matrix
-    coefficients.  The propagator dispatcher treats that as a degenerate
-    spectrum and diagonalizes instead.
+    The roots are real exactly when c1 >= 0 and |4 c0| <= r^3 with
+    r = 2 sqrt(c1/3).  A negative c1 raises InvalidInputError.  The ratio
+    4 c0 / r^3 is clamped to [-1, 1], which only absorbs roundoff (equal
+    couplings put it at +-1, and subnormal coefficients can be a few ulps
+    past): a ratio clearly outside leaves roots that fail the residual check,
+    which raises InvalidInputError.
     """
     c1 = float(coeffs.c1)
     c0 = float(coeffs.c0)
-
-    def poly(x: float) -> float:
-        return x * (x * x - c1) - c0
-
-    def dpoly(x: float) -> float:
-        return 3.0 * x * x - c1
-
-    half = 0.5 * c0
-    term = (c1 / 3.0) ** 3
-    radicand = half * half - term
-    # the subtraction cancels completely at multiple roots; anything below the
-    # operands' roundoff floor is noise and must be treated as exactly zero,
-    # or its square root injects O(sqrt(eps)) imaginary garbage into the roots
-    if abs(radicand) <= 1e-13 * (half * half + abs(term)):
-        radicand = 0.0
-    root = cmath.sqrt(complex(radicand))
-    u = half + root if abs(half + root) >= abs(half - root) else half - root
-    if u == 0:
-        # only possible with c1 = c0 = 0: triple root at zero
-        lam = np.zeros(3)
-    else:
-        a_plus = u ** (1.0 / 3.0)
-        a_minus = (c1 / 3.0) / a_plus
-        assembled = (
-            a_plus + a_minus,
-            _SIGMA3 * _SIGMA3 * a_plus + _SIGMA3 * a_minus,
-            _SIGMA3 * a_plus + _SIGMA3 * _SIGMA3 * a_minus,
+    if not c1 >= 0.0:
+        raise InvalidInputError(
+            f"three real roots need c1 >= 0, got c1 = {c1!r}; "
+            "coefficients are not from a real symmetric matrix"
         )
-        lam = _real_roots(assembled, poly, dpoly)
-    return _finish_spectrum(lam, poly, 3)
-
-
-def _biquadratic_roots(p: float, r: float) -> list[float]:
-    """Roots of lambda^4 + p*lambda^2 + r = 0 when the odd coefficient vanishes."""
-    scale = max(1.0, abs(p), math.sqrt(abs(r)))
-    disc = p * p - 4.0 * r
-    if disc < 0.0:
-        if disc < -1e-9 * scale * scale:
-            raise InvalidInputError("biquadratic has complex lambda^2 pairs")
-        disc = 0.0
-    sq = math.sqrt(disc)
-    roots: list[float] = []
-    for y in ((-p + sq) / 2.0, (-p - sq) / 2.0):
-        if y < 0.0:
-            if y < -1e-9 * scale:
-                raise InvalidInputError("biquadratic has negative lambda^2")
-            y = 0.0
-        s = math.sqrt(y)
-        roots.extend((s, -s))
-    return roots
+    return _finish_spectrum(_viete(c1, c0), (1.0, 0.0, -c1, -c0))
 
 
 def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
-    """All four real roots of lambda^4 + p*lambda^2 + q*lambda + r = 0 by Euler's method.
+    """All four real roots of lambda^4 + p*lambda^2 + q*lambda + r = 0 by Ferrari's method.
 
-    The resolvent cubic 64 B^3 + 32 p B^2 - 4 (4r - p^2) B - q^2 = 0 is
-    depressed and handed to the Cardano solver; beta = sqrt(B) for its largest
-    root B (clamped at zero, rejected below -1e-12).  alpha and gamma come
-    from
+    With m the largest root of the resolvent cubic
+    m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 and s = sqrt(2m), the quartic
+    splits into the real quadratics
 
-        alpha^2, gamma^2 = (1/2) { -q/(4 beta) +/- sqrt( (q/(4 beta))^2 - (B + p/2)^2 ) }
+        lambda^2 + s lambda + p/2 + m - q/(2s)  and  lambda^2 - s lambda + p/2 + m + q/(2s),
 
-    and the roots are alpha+beta+gamma, -i alpha-beta+i gamma,
-    -alpha+beta-gamma, i alpha-beta-i gamma.  Only the relative sign of alpha
-    and gamma changes the root set (the simultaneous flip permutes it), and
-    matching the quadratic coefficient forces alpha*gamma = -(B + p/2)/2; the
-    sign assignments are enumerated and scored by the total characteristic
-    polynomial residual, which enforces exactly that pairing.  A vanishing q
-    makes -q/(4 beta) indeterminate when B = 0, so near-zero q is routed to
-    the biquadratic in lambda^2 instead.
+    each solved with its discriminant clamped at 0.  For real roots x_i the
+    resolvent roots are (x_i + x_j)^2 / 2.  It is depressed by m = y - p/3
+    and solved by Viete with both clamps and no check: its coefficients carry
+    cancellation error relative to p^2, so a double or triple resolvent root
+    (near-equal couplings) can look complex by roundoff.  The largest root y
+    stays >= 0, so m >= -p/3 > 0 for any Q but Q = 0, where p = q = r = 0 and
+    every root is 0.  Coefficients without four real roots fail the residual
+    check instead.
     """
     p = float(coeffs.p)
     q = float(coeffs.q)
     r = float(coeffs.r)
-
-    def poly(x):
-        return ((x * x + p) * x + q) * x + r
-
-    def dpoly(x: float) -> float:
-        return (4.0 * x * x + 2.0 * p) * x + q
-
-    if abs(q) <= 1e-12 * max(1.0, abs(p), math.sqrt(abs(r))):
-        lam = _real_roots([complex(x) for x in _biquadratic_roots(p, r)], poly, dpoly)
-        return _finish_spectrum(lam, poly, 4)
-
-    # depress the monic resolvent B^3 + (p/2) B^2 + ((p^2-4r)/16) B - q^2/64
-    b2 = p / 2.0
-    b1 = (p * p - 4.0 * r) / 16.0
-    b0 = -q * q / 64.0
-    cp = b1 - b2 * b2 / 3.0
-    cq = b0 - b1 * b2 / 3.0 + 2.0 * b2 ** 3 / 27.0
-    resolvent = solve_cubic_depressed(CubicCoeffs(c1=-cp, c0=-cq))
-    big_b = float(np.max(resolvent.eigenvalues)) - b2 / 3.0
-    if big_b < -1e-12:
-        raise InvalidInputError(
-            f"largest resolvent root {big_b!r} is negative; coefficients are "
-            "not from a real symmetric matrix"
-        )
-    big_b = max(big_b, 0.0)
-    beta = math.sqrt(big_b)
-    if beta == 0.0:
-        # all resolvent roots are positive whenever q != 0; reaching zero here
-        # means the resolvent solve collapsed
-        raise InvalidInputError("resolvent root vanished for a nonzero odd coefficient")
-    qb = q / (4.0 * beta)
-    inner = cmath.sqrt(complex(qb * qb - (big_b + p / 2.0) ** 2))
-    alpha = cmath.sqrt(0.5 * (-qb + inner))
-    gamma = cmath.sqrt(0.5 * (-qb - inner))
-
-    best = None
-    best_score = math.inf
-    for sa in (1.0, -1.0):
-        for sg in (1.0, -1.0):
-            a, g = sa * alpha, sg * gamma
-            candidate = (
-                a + beta + g,
-                -1j * a - beta + 1j * g,
-                -a + beta - g,
-                1j * a - beta - 1j * g,
-            )
-            score = sum(abs(poly(z)) for z in candidate)
-            if score < best_score:
-                best_score = score
-                best = candidate
-    lam = _real_roots(best, poly, dpoly)
-    return _finish_spectrum(lam, poly, 4)
+    m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
+    s = math.sqrt(max(2.0 * m, 0.0))
+    shift = q / (2.0 * s) if s > 0.0 else 0.0
+    roots = []
+    for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
+        half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
+        roots += [-0.5 * b + half, -0.5 * b - half]
+    return _finish_spectrum(roots, (1.0, 0.0, p, q, r))
 
 
 def closed_form_spectrum(q: CouplingMatrix) -> Spectrum:

@@ -322,8 +322,8 @@ class TestEigen:
         assert "unavailable" in out
         assert "eigenvectors" not in out
 
-    def test_radical_solver_refusal_is_reported(self, tmp_path, capsys):
-        # a real symmetric Q whose quartic the radical solver will not certify
+    def test_near_equal_quartic_matches_jacobi(self, tmp_path, capsys):
+        # one coupling 1e-6 off the others: a triple eigenvalue cluster
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         path = write_scenario(
             tmp_path,
@@ -341,9 +341,11 @@ class TestEigen:
         )
         assert main(["eigen", path]) == 0
         out = capsys.readouterr().out
-        rows = [line.split() for line in out.splitlines()]
-        assert sum(row[1:2] == ["unavailable"] for row in rows) == 4
-        assert "closed-form spectrum unavailable: " in out
+        assert "unavailable" not in out
+        rows = [line.split() for line in out.splitlines()[2:6]]
+        assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
+        for row in rows:
+            assert abs(float(row[1]) - float(row[2])) <= 1e-6
         assert main(["simulate", path, "--out", str(tmp_path / "out.csv")]) == 0
 
     def test_g3_zero_eigenvectors_match_closed_form(self, tmp_path, capsys):

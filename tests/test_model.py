@@ -427,15 +427,16 @@ class TestTrajectory:
 
     def test_norm_message_prints_plain_floats(self):
         # near-equal couplings: the forced Lagrange route misses the 1e-12 norm
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         system = LevelSystem.resonant(
-            (0.0, 1.0, 2.0), {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0001}
+            (0.0, 1.0, 2.0, 3.0), {p: 1.001 if p == (0, 1) else 1.0 for p in pairs}
         )
         times = np.linspace(0.0, 10.0, 101)
         with pytest.raises(InvalidInputError) as excinfo:
-            trajectory(system, StateVector.basis(3, 0), times, "lagrange3")
+            trajectory(system, StateVector.basis(4, 0), times, "lagrange4")
         assert re.fullmatch(
             r"state norm at t = \d+\.\d+ deviates from 1 by \d\.\d{3}e-\d\d, "
-            r"more than 1e-12 \(lagrange3 route\)",
+            r"more than 1e-12 \(lagrange4 route\)",
             str(excinfo.value),
         )
 

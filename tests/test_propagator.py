@@ -24,6 +24,7 @@ from nrabi import (
     propagator_two_level,
     reference_expm,
     spectral_plan,
+    trajectory,
 )
 
 from conftest import coupling_matrix, random_coupling_matrix
@@ -174,6 +175,12 @@ class TestClosedEigenvectors:
         with pytest.raises(DegenerateSpectrumError):
             eigenvectors_three_level(q, closed_form_spectrum(q))
 
+    def test_near_degenerate_direction_raises(self):
+        # the eigenvalue pair 2e-5 apart is reported as one repeated value
+        q = coupling_matrix([1.0, 1.0, 1.0 + 1e-5], 3)
+        with pytest.raises(DegenerateSpectrumError):
+            propagator(q, 1.0, "closed_eigen3")
+
 
 class TestJacobi:
     def test_two_by_two(self):
@@ -245,6 +252,26 @@ class TestDispatcher:
         p = propagator(q, 2.2)
         assert p.method is Method.JACOBI
         assert np.linalg.norm(p.matrix @ p.matrix.conj().T - np.eye(7)) <= 1e-9 * 7
+
+    @pytest.mark.parametrize(
+        "levels, couplings, samples",
+        [
+            # a random n = 4 Q with relative eigenvalue gap 5.3e-5
+            (
+                (0.0, 1.0, 2.0, 3.0),
+                {(0, 1): 1.7615, (0, 2): 1.6291, (0, 3): 0.7005,
+                 (1, 2): 0.7020, (1, 3): 1.6691, (2, 3): 1.5450},
+                1001,
+            ),
+            # near-equal n = 3, relative gap 6.7e-5
+            ((0.0, 1.0, 2.0), {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0001}, 101),
+        ],
+    )
+    def test_close_eigenvalues_diagonalize(self, levels, couplings, samples):
+        system = LevelSystem.resonant(levels, couplings)
+        times = np.linspace(0.0, 10.0, samples)
+        result = trajectory(system, StateVector.basis(len(levels), 0), times)
+        assert result.method is Method.JACOBI
 
     def test_forced_method_mismatch_raises(self, rng):
         q3 = random_coupling_matrix(rng, 3)

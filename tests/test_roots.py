@@ -127,11 +127,7 @@ class TestCubicSolver:
         coeffs = CubicCoeffs(
             g1 * g1 + g2 * g2 + g3 * g3, 2.0 * g1 * g2 * g3
         )
-        try:
-            spectrum = solve_cubic_depressed(coeffs)
-        except InvalidInputError:
-            # documented near-degenerate escape hatch; covered by fixtures
-            assume(False)
+        spectrum = solve_cubic_depressed(coeffs)
         # near a multiple root the companion oracle itself is only sqrt(eps)
         # accurate; exact degenerate cases are pinned in their own fixtures
         assume(spectrum.degeneracy_gap > 1e-4 * max(1.0, spectrum.spectral_radius))
@@ -152,6 +148,12 @@ class TestQuarticSolver:
         spectrum = solve_quartic(QuarticCoeffs(-4.0, 0.0, 0.0))
         assert np.allclose(spectrum.eigenvalues, [2.0, 0.0, 0.0, -2.0], atol=1e-12)
 
+    @pytest.mark.parametrize("g", [0.3, 1.0182816163978958])
+    def test_equal_couplings_triple_root(self, g):
+        q = coupling_matrix([g] * 6, 4)
+        oracle = np.linalg.eigh(q.entries)[0][::-1]
+        assert np.max(np.abs(closed_form_spectrum(q).eigenvalues - oracle)) <= 1e-12
+
     def test_random_matrix_coefficients_match_jacobi(self, rng):
         for _ in range(200):
             q = random_coupling_matrix(rng, 4)
@@ -163,10 +165,7 @@ class TestQuarticSolver:
     @given(st.lists(finite, min_size=6, max_size=6))
     def test_matches_companion_oracle(self, gs):
         coeffs = char_poly_4(coupling_matrix(gs, 4))
-        try:
-            spectrum = solve_quartic(coeffs)
-        except InvalidInputError:
-            assume(False)
+        spectrum = solve_quartic(coeffs)
         assume(spectrum.degeneracy_gap > 1e-4 * max(1.0, spectrum.spectral_radius))
         oracle = companion_roots([1.0, 0.0, coeffs.p, coeffs.q, coeffs.r])
         assert np.max(np.abs(spectrum.eigenvalues - oracle)) <= 1e-9
@@ -208,6 +207,23 @@ class TestSpectrumInvariants:
         lam = spectrum.eigenvalues
         assert np.all(np.diff(lam) <= 0.0)
         assert spectrum.degeneracy_gap == pytest.approx(np.min(np.abs(np.diff(lam))))
+
+    @given(
+        st.sampled_from([3, 4]),
+        st.floats(0.2, 3.0),
+        st.one_of(st.just(0.0), st.floats(-12.0, -1.0).map(lambda e: 10.0 ** e)),
+        st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    )
+    def test_near_equal_couplings_match_eigh(self, n, s, delta, u):
+        q = coupling_matrix([s * (1.0 + delta * x) for x in u[: n * (n - 1) // 2]], n)
+        lam = closed_form_spectrum(q).eigenvalues
+        oracle = np.linalg.eigh(q.entries)[0][::-1]
+        radius = np.max(np.abs(oracle))
+        # a merged pair spans at most 1e-4 * radius, so its one value is within
+        # half that of each root; a merged triple (n = 4) spans two such gaps
+        # and its mean can sit one full gap from its end roots
+        bound = 1e-12 if delta == 0.0 else (5e-5 if n == 3 else 1e-4) * radius + 1e-12
+        assert np.max(np.abs(lam - oracle)) <= bound
 
     def test_closed_form_spectrum_rejects_other_sizes(self, rng):
         with pytest.raises(InvalidInputError):
