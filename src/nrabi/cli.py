@@ -9,6 +9,7 @@ failure, 2 resonance/consistency violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -165,18 +166,21 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_CSV_CHUNK_ROWS = 256
 
 
-def _write_csv(path: str, header: list[str], rows, footer: list[str]) -> None:
+def _write_csv(path: str, header: list[str], rows: np.ndarray, footer: list[str]) -> None:
+    # "%.17g" % x and format(x, ".17g") make the same PyOS_double_to_string
+    # call, so one pattern per row gives the same bytes; chunks bound memory
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-            for line in footer:
-                fh.write(f"# {line}\n")
+            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+                chunk = rows[start : start + _CSV_CHUNK_ROWS].tolist()
+                fh.write("".join([line % tuple(row) for row in chunk]))
+            for text in footer:
+                fh.write(f"# {text}\n")
     except OSError as exc:
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
@@ -330,9 +334,7 @@ def cmd_compare(
     header = ["t"]
     for tag in ("closed", "rwa", "full"):
         header += [f"{tag}_pop_{k}" for k in range(n)]
-    rows = [
-        [t, *closed[k], *rwa_pops[k], *full_pops[k]] for k, t in enumerate(times)
-    ]
+    rows = np.column_stack((times, closed, rwa_pops, full_pops))
     footer = [
         f"max |closed - rwa| = {float(np.max(np.abs(closed - rwa_pops))):.3e}",
         f"max |closed - full| = {float(np.max(np.abs(closed - full_pops))):.3e}",
@@ -353,7 +355,9 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     parser = _Parser(prog="nrabi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     method_choices = ["auto"] + [m.value for m in Method]

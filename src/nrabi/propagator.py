@@ -19,6 +19,7 @@ can be cross-checked against each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +34,7 @@ _EQUAL_COUPLING_RTOL = 1e-12
 _EIGENVECTOR_RESIDUAL_RTOL = 1e-8
 _DIRECTION_RTOL = 1e-10
 _FALLBACK_RTOL = 1e-8
+_ORTHONORMALITY_ATOL = 1e-10
 
 
 class Method(str, Enum):
@@ -266,7 +268,10 @@ def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDeco
     (lambda g3 + g1 g2, lambda g2 + g1 g3, lambda^2 - g1^2) is used instead.
     A vanishing D_j means the eigendirection is not isolated: degeneracy error.
     D_j is the derivative of the characteristic polynomial, so it vanishes on
-    every eigenvalue pair that ``closed_form_spectrum`` merges.
+    every eigenvalue pair that ``closed_form_spectrum`` merges.  A spectrum
+    that is near-degenerate but not merged (say, from another solver) can
+    pass every column's residual check yet give columns that are not
+    orthonormal; max |V^T V - I| above 1e-10 is a degeneracy error too.
     """
     if q.n != 3:
         raise InvalidInputError(f"closed-form eigenvectors need n = 3, got n = {q.n}")
@@ -314,7 +319,14 @@ def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDeco
                     f"for eigenvalue {lam!r}"
                 )
         columns.append(column)
-    return EigenDecomposition(spectrum, np.column_stack(columns))
+    vectors = np.column_stack(columns)
+    defect = float(np.max(np.abs(vectors.T @ vectors - np.eye(3))))
+    if not defect <= _ORTHONORMALITY_ATOL:
+        raise DegenerateSpectrumError(
+            f"closed-form eigenvectors are {defect:.3e} from orthonormal, above "
+            f"{_ORTHONORMALITY_ATOL:.0e}; use the Jacobi path"
+        )
+    return EigenDecomposition(spectrum, vectors)
 
 
 def jacobi_eigendecompose(q: CouplingMatrix) -> EigenDecomposition:
@@ -339,9 +351,18 @@ def propagator_from_eigen(
     return Propagator(n, plan.propagators([t])[0], t, method)
 
 
+@functools.cache
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # row-major (i, j) with i < j, built once per n and shared read-only
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def equal_coupling_value(q: CouplingMatrix) -> float | None:
     """The shared coupling g when all off-diagonal entries agree within 1e-12 relative."""
-    off = q.entries[np.triu_indices(q.n, k=1)]
+    off = q.entries[_upper_triangle(q.n)]
     largest = float(np.max(np.abs(off)))
     if largest == 0.0:
         return 0.0

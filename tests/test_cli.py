@@ -35,6 +35,14 @@ def read_csv(path):
     return header, np.array(rows), footer
 
 
+def reference_csv(header, rows, footer):
+    """The CSV bytes a per-value ``format(v, ".17g")`` writer produces."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    lines += [f"# {text}" for text in footer]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def write_scenario(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -451,9 +459,75 @@ class TestCompare:
             assert h_evals <= 5 * (accepted + rejected) + 3
 
 
+class TestCsvBytes:
+    SPECIALS = [-0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e16, 1.2345678901234568e17,
+                float("nan"), float("inf"), -float("inf")]
+
+    @pytest.mark.parametrize("width, n_rows", [(3, 600), (97, 300)])
+    def test_matches_per_value_format(self, tmp_path, width, n_rows):
+        # more rows than one write chunk, specials at every column position
+        rng = np.random.default_rng(width)
+        size = width * n_rows
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        values[: width * len(self.SPECIALS)] = np.repeat(self.SPECIALS, width)
+        rows = values.reshape(n_rows, width)
+        header = [f"c{k}" for k in range(width)]
+        footer = ["first = 1", "second = 2.000e+00"]
+        out = tmp_path / "golden.csv"
+        cli._write_csv(str(out), header, rows, footer)
+        assert out.read_bytes() == reference_csv(header, rows, footer)
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_bundled_scenarios(self, tmp_path, monkeypatch, command, scenario):
+        written = []
+        real_write = cli._write_csv
+
+        def spy(path, header, rows, footer):
+            written.append((header, np.array(rows), list(footer)))
+            real_write(path, header, rows, footer)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        out = tmp_path / "out.csv"
+        code = main([command, str(SCENARIOS / scenario), "--out", str(out)])
+        if "inconsistent" in scenario:
+            assert code == 2 and not written and not out.exists()
+            return
+        assert code == 0
+        (header, rows, footer), = written
+        assert rows.shape == (load_scenario(str(SCENARIOS / scenario)).samples, len(header))
+        assert out.read_bytes() == reference_csv(header, rows, footer)
+
+
 class TestMainEntry:
     def test_usage_error_maps_to_exit_1(self, capsys):
         assert main(["simulate"]) == 1
+
+    def test_repeated_calls_behave_like_fresh_processes(self, tmp_path, capsys):
+        scenario = str(SCENARIOS / "two_level_rabi.json")
+        runs = [
+            ["simulate", scenario],
+            ["simulate", scenario, "--out", "sim.csv", "--method", "jacobi"],
+            ["compare", scenario, "--out", "cmp.csv"],
+        ]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        for where in (fresh, here):
+            where.mkdir()
+        expected = []
+        for argv in runs:
+            argv = [str(fresh / a) if a.endswith(".csv") else a for a in argv]
+            proc = subprocess.run(
+                [sys.executable, "-m", "nrabi.cli", *argv], capture_output=True, text=True
+            )
+            expected.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in expected] == [1, 0, 0]
+        for argv, want in zip(runs, expected):
+            argv = [str(here / a) if a.endswith(".csv") else a for a in argv]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == want
+        for name in ("sim.csv", "cmp.csv"):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_module_invocation_exit_codes(self, tmp_path):
         env_cmd = [sys.executable, "-m", "nrabi.cli"]

@@ -181,6 +181,15 @@ class TestClosedEigenvectors:
         with pytest.raises(DegenerateSpectrumError):
             propagator(q, 1.0, "closed_eigen3")
 
+    def test_unmerged_near_degenerate_spectrum_raises(self):
+        # LAPACK keeps the pair 1e-8 apart; each column passes its residual
+        # check, but together they are 3.8e-8 from orthonormal
+        q = coupling_matrix([1.0, 1.0, 1.0 + 1e-8], 3)
+        spectrum = jacobi_eigendecompose(q).spectrum
+        assert spectrum.degeneracy_gap > 0.0
+        with pytest.raises(DegenerateSpectrumError, match="orthonormal"):
+            eigenvectors_three_level(q, spectrum)
+
 
 class TestJacobi:
     def test_two_by_two(self):
