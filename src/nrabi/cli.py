@@ -39,6 +39,7 @@ from .propagator import Method, eigenvectors_three_level, jacobi_eigendecompose
 from .roots import closed_form_spectrum
 
 _DEFAULT_SAMPLES = 1001
+_MAX_SAMPLES = 100_000
 
 
 class ScenarioError(ValueError):
@@ -66,8 +67,9 @@ class Scenario:
 
 
 def _integer(value, what: str) -> int:
-    # JSON gives int or float; a bool or a fraction would silently truncate
-    if isinstance(value, bool) or not float(value).is_integer():
+    # JSON gives int or float; a bool or a fraction would silently truncate,
+    # and an int past float range would overflow float()
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -84,6 +86,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         phases = {}
         for k, item in enumerate(entries):
             pair = tuple(_integer(item[key], f"couplings[{k}].{key}") for key in "ij")
+            if pair in couplings:
+                raise ScenarioError(f"couplings[{k}] repeats the pair {pair}")
             couplings[pair] = float(item["g"])
             freqs[pair] = float(item["omega"])
             if "phi" in item:
@@ -112,6 +116,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         samples = _integer(data.get("samples", _DEFAULT_SAMPLES), "samples")
         if samples < 1 or (t_end > 0.0 and samples < 2):
             raise ScenarioError("samples must be at least 2 (1 when t_end is 0)")
+        if samples > _MAX_SAMPLES:
+            raise ScenarioError(f"samples must be at most {_MAX_SAMPLES}")
         method = data.get("method")
         if method is not None:
             method = str(method)
@@ -120,7 +126,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         return Scenario(system, initial, t_end, samples, method)
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
@@ -161,6 +167,9 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer literal past Python's digit limit, deep nesting
+        raise ScenarioError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
     return scenario_from_dict(data)

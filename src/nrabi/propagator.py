@@ -1,19 +1,20 @@
 """Unitary propagators exp(-itQ) for coupling matrices.
 
-Several routes to the same matrix, each valid on its own domain:
+Every closed-form route gives Sylvester's sum exp(-itQ) =
+sum_j e^{-it lambda_j} P_j, with real symmetric projectors P_j that sum to I;
+a route only decides how lambda and P are found:
 
-* two-level closed form (n = 2),
-* Cayley-Hamilton / Lagrange-interpolation polynomial in Q (n = 3, 4,
-  non-degenerate spectrum),
-* rank-one closed form when all couplings are equal (any n),
-* diagonalization, either through the closed-form 3x3 eigenvectors or
-  LAPACK ``eigh`` (any n),
-* a scaling-and-squaring reference exponential.
+* two-level (n = 2) and rank-one equal coupling (any n): lambda =
+  ((n-1) g, -g) and P = (J/n, I - J/n), J the all-ones matrix,
+* Cayley-Hamilton / Lagrange interpolation (n = 3, 4, non-degenerate
+  spectrum): P_j = l_j(Q), a polynomial in Q, so it never diagonalizes,
+* diagonalization by the closed-form 3x3 eigenvectors or LAPACK ``eigh``
+  (any n): P_j = v_j v_j^T.
 
-``spectral_plan`` picks a route for one Q and does that route's one-off work
-(spectrum, eigenvectors or Lagrange basis); the plan then evaluates any
-number of times in one batched call.  ``propagator`` and the per-route
-functions are the single-time case of a plan, and stay exposed so the routes
+A scaling-and-squaring reference exponential stays independent of them.
+``spectral_plan`` picks a route for one Q and builds lambda and P once; the
+plan then evaluates any number of times in one batched call.  ``propagator``
+and the per-route functions are its single-time case, exposed so the routes
 can be cross-checked against each other.
 """
 
@@ -50,7 +51,6 @@ class Method(str, Enum):
 
 
 _LAGRANGE = (Method.LAGRANGE3, Method.LAGRANGE4)
-_EIGEN = (Method.CLOSED_EIGEN3, Method.JACOBI)
 
 
 @dataclass(frozen=True)
@@ -103,60 +103,32 @@ def _as_times(times) -> np.ndarray:
 class SpectralPlan:
     """exp(-itQ) for one coupling matrix, ready to evaluate at many times.
 
-    ``method`` is the route that runs.  The other fields hold that route's
-    data: ``coupling`` the shared g (two-level and equal-coupling forms);
-    ``spectrum`` the eigenvalues (Lagrange and eigenvector routes);
-    ``vectors`` the eigenvector columns (``closed_eigen3``, ``jacobi``);
-    ``basis`` the Lagrange basis B with f(t) = e^{-it lambda} @ B; ``q`` the
-    entries of Q (Lagrange powers and the reference exponential).
+    ``method`` is the route that runs.  Every route but ``reference`` holds
+    Sylvester's form exp(-itQ) = sum_j e^{-it lambda_j} P_j: ``eigenvalues``
+    lambda, shape (m,), and real symmetric ``projectors`` P, shape (m, n, n),
+    that sum to I.  ``q`` holds the entries of Q for the reference exponential.
     """
 
     method: Method
     n: int
-    coupling: float | None = None
-    spectrum: Spectrum | None = None
-    vectors: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    eigenvalues: np.ndarray | None = None
+    projectors: np.ndarray | None = None
     q: np.ndarray | None = None
-
-    def _phases(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * np.outer(t, self.spectrum.eigenvalues))
-
-    def _powers(self, start: np.ndarray) -> np.ndarray:
-        # start, Q start, ..., Q^{n-1} start by repeated multiplication
-        out = [start]
-        for _ in range(1, self.n):
-            out.append(self.q @ out[-1])
-        return np.array(out)
 
     def _apply(self, block: np.ndarray, t: np.ndarray) -> np.ndarray:
         """exp(-itQ) @ block at every time, shape (T, n, k); t = 0 gives block exactly."""
         n, k = block.shape
-        method = self.method
-        if method is Method.TWO_LEVEL:
-            # exp(-itgX) = cos(gt) I - i sin(gt) X with X the swap matrix
-            c = np.cos(self.coupling * t)[:, None, None]
-            s = -1j * np.sin(self.coupling * t)[:, None, None]
-            out = c * block + s * block[::-1]
-        elif method is Method.EQUAL_COUPLING:
-            # exp(-itgR) = phase I + shared J with J the all-ones matrix
-            phase = np.exp(1j * self.coupling * t)[:, None, None]
-            shared = phase * (np.exp(-1j * n * self.coupling * t)[:, None, None] - 1.0) / n
-            out = phase * block + shared * block.sum(axis=0)
-        elif method in _LAGRANGE:
-            powers = self._powers(block).reshape(n, n * k)
-            out = (self._phases(t) @ self.basis @ powers).reshape(t.size, n, k)
-        elif method in _EIGEN:
-            # U(t) = V diag(e^{-it lambda}) V^T is symmetric, so column j of
-            # U(t) X is the row (e^{-it lambda} * c_j) V^T with c = V^T X; one
-            # product then covers every time and column
-            v = self.vectors
-            rows = self._phases(t)[:, None, :] * (v.T @ block).T
-            out = (rows.reshape(-1, n) @ v.T).reshape(t.size, k, n).transpose(0, 2, 1)
-        else:
+        if self.method is Method.REFERENCE:
             from .oracle import reference_expm  # deferred: oracle imports model types
 
             out = np.array([reference_expm(-1j * x * self.q) @ block for x in t])
+        else:
+            # P_j @ block on the interleaved real and imaginary parts, so numpy
+            # never makes a complex copy of the (m, n, n) projector stack
+            parts = np.ascontiguousarray(block, dtype=complex).view(float)
+            projected = (self.projectors @ parts).view(complex).reshape(-1, n * k)
+            phases = np.exp(-1j * np.outer(t, self.eigenvalues))
+            out = (phases @ projected).reshape(t.size, n, k)
         out[t == 0.0] = block
         return out
 
@@ -206,10 +178,20 @@ def _lagrange_basis(spectrum: Spectrum) -> np.ndarray:
     return np.array(rows)
 
 
+def _rank_one_plan(method: Method, n: int, g: float) -> SpectralPlan:
+    # Q = g (J - I) with J the all-ones matrix: J/n projects onto eigenvalue
+    # (n-1) g and I - J/n onto -g; n = 2 is the two-level form
+    mean = np.full((n, n), 1.0 / n)
+    return SpectralPlan(method, n, np.array([(n - 1) * g, -g]), np.array([mean, np.eye(n) - mean]))
+
+
+def _at(plan: SpectralPlan, t: float) -> Propagator:
+    return Propagator(plan.n, plan.propagators([t])[0], t, plan.method)
+
+
 def propagator_two_level(g: float, t: float) -> Propagator:
     """Resonant two-level propagator [[cos gt, -i sin gt], [-i sin gt, cos gt]]."""
-    plan = SpectralPlan(Method.TWO_LEVEL, 2, coupling=g)
-    return Propagator(2, plan.propagators([t])[0], t, Method.TWO_LEVEL)
+    return _at(_rank_one_plan(Method.TWO_LEVEL, 2, g), t)
 
 
 def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
@@ -220,8 +202,7 @@ def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
     """
     if n < 2:
         raise InvalidInputError("equal-coupling propagator needs n >= 2")
-    plan = SpectralPlan(Method.EQUAL_COUPLING, n, coupling=g)
-    return Propagator(n, plan.propagators([t])[0], t, Method.EQUAL_COUPLING)
+    return _at(_rank_one_plan(Method.EQUAL_COUPLING, n, g), t)
 
 
 def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
@@ -240,12 +221,9 @@ def propagator_lagrange(q: CouplingMatrix, t: float) -> Propagator:
     """exp(-itQ) = f_0 I + f_1 Q + ... + f_{n-1} Q^{n-1} for n = 3, 4.
 
     The eigenvalues come from the radical solvers; the Q powers are formed by
-    repeated symmetric multiplication so this path never diagonalizes.
+    repeated symmetric multiplication so this path never diagonalizes.  Any
+    other n raises InvalidInputError.
     """
-    if q.n not in (3, 4):
-        raise InvalidInputError(
-            f"the polynomial expansion is implemented for n = 3, 4, got n = {q.n}"
-        )
     return propagator(q, t, Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4)
 
 
@@ -329,6 +307,12 @@ def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDeco
     return EigenDecomposition(spectrum, vectors)
 
 
+def _eigen_plan(method: Method, decomp: EigenDecomposition) -> SpectralPlan:
+    # P_j = v_j v_j^T for each eigenvector column v_j
+    v = decomp.vectors.T
+    return SpectralPlan(method, len(v), decomp.spectrum.eigenvalues, v[:, :, None] * v[:, None, :])
+
+
 def jacobi_eigendecompose(q: CouplingMatrix) -> EigenDecomposition:
     """Diagonalization of a coupling matrix by LAPACK (``numpy.linalg.eigh``), any n >= 2.
 
@@ -346,9 +330,7 @@ def propagator_from_eigen(
     decomp: EigenDecomposition, t: float, method: Method = Method.JACOBI
 ) -> Propagator:
     """exp(-itQ) = O diag(e^{-it lambda}) O^T from an eigendecomposition."""
-    n = decomp.spectrum.n
-    plan = SpectralPlan(method, n, spectrum=decomp.spectrum, vectors=decomp.vectors)
-    return Propagator(n, plan.propagators([t])[0], t, method)
+    return _at(_eigen_plan(method, decomp), t)
 
 
 @functools.cache
@@ -402,20 +384,24 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
     if method is Method.TWO_LEVEL:
         if q.n != 2:
             raise InvalidInputError(f"two-level method needs n = 2, got n = {q.n}")
-        return SpectralPlan(method, 2, coupling=float(q.entries[0, 1]))
+        return _rank_one_plan(method, 2, float(q.entries[0, 1]))
     if method is Method.EQUAL_COUPLING:
         g = equal_coupling_value(q)
         if g is None:
             raise InvalidInputError("couplings are not all equal")
-        return SpectralPlan(method, q.n, coupling=g)
+        return _rank_one_plan(method, q.n, g)
     if method in _LAGRANGE:
         expected = 3 if method is Method.LAGRANGE3 else 4
         if q.n != expected:
             raise InvalidInputError(f"{method.value} needs n = {expected}, got n = {q.n}")
         if spectrum is None:
             spectrum = closed_form_spectrum(q)
-        basis = _lagrange_basis(spectrum)
-        return SpectralPlan(method, q.n, spectrum=spectrum, basis=basis, q=q.entries)
+        # P_j = l_j(Q): the Lagrange basis applied to I, Q, ..., Q^{n-1}
+        powers = [np.eye(q.n)]
+        for _ in range(1, q.n):
+            powers.append(q.entries @ powers[-1])
+        flat = _lagrange_basis(spectrum) @ np.reshape(powers, (q.n, -1))
+        return SpectralPlan(method, q.n, spectrum.eigenvalues, flat.reshape(-1, q.n, q.n))
     if method is Method.CLOSED_EIGEN3:
         if q.n != 3:
             raise InvalidInputError(f"closed_eigen3 needs n = 3, got n = {q.n}")
@@ -426,10 +412,9 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
         return SpectralPlan(method, q.n, q=q.entries)
     else:
         raise InvalidInputError(f"unknown propagator method {method!r}")
-    return SpectralPlan(method, q.n, spectrum=decomp.spectrum, vectors=decomp.vectors)
+    return _eigen_plan(method, decomp)
 
 
 def propagator(q: CouplingMatrix, t: float, method=None) -> Propagator:
     """exp(-itQ) at one time through ``spectral_plan`` (same dispatch, same errors)."""
-    plan = spectral_plan(q, method)
-    return Propagator(q.n, plan.propagators([t])[0], t, plan.method)
+    return _at(spectral_plan(q, method), t)

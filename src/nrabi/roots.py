@@ -149,28 +149,30 @@ def _newton(f: tuple[float, ...], df: tuple[float, ...], x: float, steps: int) -
 def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
     """Polish, check, sort and cluster the real roots of the monic ``poly``.
 
-    Each root gets one Newton step and must then leave a small residual.  Then
-    every run of sorted roots whose neighbouring gaps are at most 1e-4 of the
-    spectral radius becomes one value repeated: a root of multiplicity m is
-    only eps^(1/m) accurate when taken from the coefficients, but it is a
-    simple root of the (m-1)-th derivative, so Newton on that derivative,
-    started from the cluster mean, refines it.  A merged pair of distinct
-    roots lies within 5e-5 of the radius of each, a merged triple within
-    1e-4; the cluster's gap of 0 sends the propagator dispatch to
-    diagonalization.
+    Each root gets one Newton step and must then leave a residual below 1e-9
+    of radius^degree, with the spectral radius taken over the polished roots:
+    that is the scale of the coefficients' rounding error, so a root small
+    next to the couplings is not refused.  Then every run of sorted roots
+    whose neighbouring gaps are at most 1e-4 of the spectral radius becomes
+    one value repeated: a root of multiplicity m is only eps^(1/m) accurate
+    when taken from the coefficients, but it is a simple root of the (m-1)-th
+    derivative, so Newton on that derivative, started from the cluster mean,
+    refines it.  A merged pair of distinct roots lies within 5e-5 of the
+    radius of each, a merged triple within 1e-4; the cluster's gap of 0 sends
+    the propagator dispatch to diagonalization.
     """
     degree = len(poly) - 1
     derivs = [poly]
     for _ in range(degree):
         derivs.append(_derivative(derivs[-1]))
     lam = sorted((_newton(poly, derivs[1], x, 1) for x in roots), reverse=True)
+    radius = max(abs(x) for x in lam)
     for x in lam:
-        if not abs(_horner(poly, x)) <= _RESIDUAL_RTOL * max(1.0, abs(x) ** degree):
+        if not abs(_horner(poly, x)) <= _RESIDUAL_RTOL * max(1.0, radius ** degree):
             raise InvalidInputError(
                 f"root {x!r} fails the characteristic polynomial residual bound; "
                 "coefficients are not from a real symmetric matrix"
             )
-    radius = max(abs(x) for x in lam)
     start = 0
     for k in range(1, degree + 1):
         if k == degree or lam[k - 1] - lam[k] > _CLUSTER_RTOL * radius:

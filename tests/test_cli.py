@@ -2,10 +2,13 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrabi import cli, model
 from nrabi.cli import (
@@ -244,6 +247,12 @@ class TestRejectsNonFiniteAndMistypedInput:
         err = self.run_simulate(tmp_path, capsys, couplings=[coupling])
         assert "couplings[0].i must be an integer" in err
 
+    def test_repeated_coupling_pair(self, tmp_path, capsys):
+        # the second entry used to replace the first without a word
+        couplings = [{"i": 0, "j": 1, "g": g, "omega": 1.0} for g in (1.0, 5.0)]
+        err = self.run_simulate(tmp_path, capsys, couplings=couplings)
+        assert "couplings[1] repeats the pair (0, 1)" in err
+
     @pytest.mark.parametrize("levels", ["01", "013"])
     def test_levels_not_an_array(self, tmp_path, capsys, levels):
         assert "levels must be an array" in self.run_simulate(tmp_path, capsys, levels=levels)
@@ -252,6 +261,22 @@ class TestRejectsNonFiniteAndMistypedInput:
     def test_initial_not_an_index_or_pairs(self, tmp_path, capsys, initial):
         err = self.run_simulate(tmp_path, capsys, initial=initial)
         assert "initial must be a level index or a list of [re, im] pairs" in err
+
+    @pytest.mark.parametrize("samples", [100_001, 1e300, 10**400])
+    def test_absurd_sample_counts(self, tmp_path, capsys, samples):
+        # 1e300 escaped main from numpy.linspace; 10**400 overflowed float()
+        assert "samples" in self.run_simulate(tmp_path, capsys, samples=samples)
+
+    @pytest.mark.parametrize(
+        "raw", [b"\xff\xfe{}", b'{"t_end": ' + b"1" * 5000 + b"}", b"[" * 100_000]
+    )
+    def test_unreadable_json(self, tmp_path, capsys, raw):
+        # not UTF-8, an integer past Python's digit limit, nesting past the
+        # recursion limit: each escaped main as a traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+        assert "unreadable JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rtol", ["nan", "inf"])
     def test_non_finite_rtol(self, tmp_path, capsys, rtol):
@@ -262,6 +287,79 @@ class TestRejectsNonFiniteAndMistypedInput:
         assert err.startswith("error:") and "rel_tol" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# values of the wrong type or out of any sensible range, for any field
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**6, 10**6),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from("ijg"), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def scenario_objects(draw):
+    """A resonant scenario with magnitudes up to 1e6, then a few fields broken."""
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(1e-3, 1e6), min_size=n - 1, max_size=n - 1))
+    levels = np.concatenate(([0.0], np.cumsum(gaps))).tolist()
+    couplings = [
+        {"i": i, "j": j, "g": draw(st.floats(0.0, 1e6)), "omega": levels[j] - levels[i]}
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    data = {
+        "levels": levels,
+        "couplings": couplings,
+        "initial": draw(st.integers(0, n - 1)),
+        "t_end": draw(st.floats(0.0, 1e6)),
+        "samples": draw(st.integers(2, 40)),
+    }
+    if draw(st.booleans()):
+        data["method"] = draw(st.sampled_from(["auto"] + [m.value for m in cli.Method]))
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["drop", "top", "coupling", "range"]))
+        if where == "drop":
+            data.pop(draw(st.sampled_from(sorted(data))), None)
+        elif where == "top":
+            fields = ["levels", "couplings", "initial", "t_end", "samples", "method"]
+            data[draw(st.sampled_from(fields))] = draw(junk)
+        elif where == "coupling":
+            item = draw(st.sampled_from(couplings))
+            key = draw(st.sampled_from(["i", "j", "g", "omega", "phi"]))
+            if draw(st.booleans()):
+                item.pop(key, None)
+            else:
+                item[key] = draw(junk)
+        elif where == "range":
+            key, value = draw(st.sampled_from([
+                ("initial", n), ("initial", -1), ("samples", 0), ("samples", 1),
+                ("t_end", -1.0), ("levels", levels[::-1]), ("couplings", couplings + couplings[:1]),
+            ]))
+            data[key] = value
+    return data
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=200)
+    @given(scenario_objects())
+    def test_simulate_exits_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            out = Path(tmp) / "out.csv"
+            code = main(["simulate", str(path), "--out", str(out)])
+            assert code in (0, 1, 2)
+            if code == 0:
+                _, rows, _ = read_csv(out)
+                assert np.isfinite(rows).all()
+                n = (rows.shape[1] - 1) // 3
+                assert np.max(np.abs(rows[:, 1 : 1 + n].sum(axis=1) - 1.0)) <= 1e-8
 
 
 class TestVerify:

@@ -159,6 +159,12 @@ class TestPlanMatchesPerTimeFormulas:
             got = plan.propagators(TIMES)
             assert got.shape == (len(TIMES), q.n, q.n)
             assert np.max(np.abs(got - stacked)) <= TOL, (q.n, method)
+            if method is not Method.REFERENCE:
+                # Sylvester's form: projectors that sum to I, each onto its eigenvalue
+                p, lam = plan.projectors, plan.eigenvalues
+                assert np.max(np.abs(p.sum(axis=0) - np.eye(q.n))) <= 1e-12, (q.n, method)
+                residual = q.entries @ p - lam[:, None, None] * p
+                assert np.max(np.abs(residual)) <= 1e-12 * np.linalg.norm(q.entries), (q.n, method)
 
     def test_evolve_every_method(self, rng):
         for q, method in cases(rng):

@@ -225,6 +225,27 @@ class TestSpectrumInvariants:
         bound = 1e-12 if delta == 0.0 else (5e-5 if n == 3 else 1e-4) * radius + 1e-12
         assert np.max(np.abs(lam - oracle)) <= bound
 
+    def test_small_root_beside_large_couplings(self):
+        # one eigenvalue near -464 beside couplings up to 1.2e6: the residual
+        # is judged against the spectral radius, not against the small root
+        q = coupling_matrix([337840.99662167154, 1220843.4019179184, 902.070320768722], 3)
+        lam = closed_form_spectrum(q).eigenvalues
+        oracle = np.linalg.eigh(q.entries)[0][::-1]
+        assert np.max(np.abs(lam - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @given(
+        st.sampled_from([3, 4]),
+        st.lists(st.floats(-3.0, 6.5), min_size=6, max_size=6),
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
+    )
+    def test_mixed_scale_couplings_match_eigh(self, n, exponents, signs):
+        k = n * (n - 1) // 2
+        q = coupling_matrix([s * 10.0 ** e for s, e in zip(signs[:k], exponents[:k])], n)
+        lam = closed_form_spectrum(q).eigenvalues
+        oracle = np.linalg.eigh(q.entries)[0][::-1]
+        # merged clusters are the only loss, as in the near-equal property
+        assert np.max(np.abs(lam - oracle)) <= 1e-4 * np.max(np.abs(oracle))
+
     def test_closed_form_spectrum_rejects_other_sizes(self, rng):
         with pytest.raises(InvalidInputError):
             closed_form_spectrum(random_coupling_matrix(rng, 5))
