@@ -66,10 +66,25 @@ class Scenario:
         return StateVector.normalized(amplitudes)
 
 
+# concrete types, not numbers.Real: an ABC check costs as much as the parse
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _number(value, what: str) -> float:
+    # JSON numbers only: float() would also take "1e0", "nan" and true
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, what: str) -> int:
-    # JSON gives int or float; a bool or a fraction would silently truncate,
-    # and an int past float range would overflow float()
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+    # a JSON number with no fraction (3.0 counts, as in JSON); a fraction
+    # would silently truncate, and an int past float range must skip float()
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, _REAL_TYPES)
+        or not (isinstance(value, (int, np.integer)) or float(value).is_integer())
+    ):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -79,7 +94,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raw_levels = data["levels"]
         if not isinstance(raw_levels, (list, tuple)):
             raise ScenarioError(f"levels must be an array of numbers, got {raw_levels!r}")
-        levels = [float(x) for x in raw_levels]
+        levels = [_number(x, f"levels[{k}]") for k, x in enumerate(raw_levels)]
         entries = data["couplings"]
         couplings = {}
         freqs = {}
@@ -88,10 +103,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             pair = tuple(_integer(item[key], f"couplings[{k}].{key}") for key in "ij")
             if pair in couplings:
                 raise ScenarioError(f"couplings[{k}] repeats the pair {pair}")
-            couplings[pair] = float(item["g"])
-            freqs[pair] = float(item["omega"])
+            couplings[pair] = _number(item["g"], f"couplings[{k}].g")
+            freqs[pair] = _number(item["omega"], f"couplings[{k}].omega")
             if "phi" in item:
-                phases[pair] = float(item["phi"])
+                phases[pair] = _number(item["phi"], f"couplings[{k}].phi")
         system = LevelSystem(tuple(levels), couplings, freqs, phases)
         raw_initial = data["initial"]
         if isinstance(raw_initial, (int, float)) and not isinstance(raw_initial, bool):
@@ -105,12 +120,15 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ScenarioError(
                     "initial must be a level index or a list of [re, im] pairs"
                 )
-            initial = tuple((float(re), float(im)) for re, im in raw_initial)
+            initial = tuple(
+                (_number(re, f"initial[{k}][0]"), _number(im, f"initial[{k}][1]"))
+                for k, (re, im) in enumerate(raw_initial)
+            )
             if len(initial) != system.n:
                 raise ScenarioError("initial amplitude list length must equal n")
             if not all(math.isfinite(x) for pair in initial for x in pair):
                 raise ScenarioError("initial amplitudes must be finite")
-        t_end = float(data["t_end"])
+        t_end = _number(data["t_end"], "t_end")
         if not math.isfinite(t_end) or t_end < 0.0:
             raise ScenarioError(f"t_end must be finite and non-negative, got {t_end!r}")
         samples = _integer(data.get("samples", _DEFAULT_SAMPLES), "samples")

@@ -360,11 +360,20 @@ def frame_matrix(system: LevelSystem, t: float) -> np.ndarray:
     return np.diag(np.exp(-1j * system._frame_frequencies * t))
 
 
-def hamiltonian_rwa(system: LevelSystem, t: float) -> np.ndarray:
-    """Lab-frame RWA Hamiltonian H_0 + V(t) at time t.
+def _stack(h0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # one fresh copy of H_0 per time: shape t.shape + (n, n)
+    h = np.empty(t.shape + h0.shape, dtype=complex)
+    h[...] = h0
+    return h
+
+
+def hamiltonian_rwa(system: LevelSystem, t) -> np.ndarray:
+    """Lab-frame RWA Hamiltonian H_0 + V(t).
 
     H_0 = diag(0, Delta_1, ..., Delta_{n-1}); V carries g_ij e^{i omega_ij t}
     above the diagonal and its conjugate below, so H is Hermitian exactly.
+    A scalar ``t`` gives one (n, n) matrix and a 1-D array of T times a
+    (T, n, n) stack whose slices equal the scalar calls bit for bit.
     Drive phases are not representable on this path and are rejected.
     """
     if system.has_phases():
@@ -373,14 +382,15 @@ def hamiltonian_rwa(system: LevelSystem, t: float) -> np.ndarray:
             "supported by hamiltonian_full"
         )
     p = system._pairs
-    h = p.h0.copy()
-    v = p.g * np.exp(1j * p.omega * t)
-    h[p.rows, p.cols] = v
-    h[p.cols, p.rows] = np.conjugate(v)
+    t = np.asarray(t, dtype=float)
+    h = _stack(p.h0, t)
+    v = p.g * np.exp(1j * p.omega * t[..., None])
+    h[..., p.rows, p.cols] = v
+    h[..., p.cols, p.rows] = np.conjugate(v)
     return h
 
 
-def hamiltonian_full(system: LevelSystem, t: float) -> np.ndarray:
+def hamiltonian_full(system: LevelSystem, t) -> np.ndarray:
     """Cosine-drive Hamiltonian without the rotating-wave approximation.
 
     Off-diagonal entries are 2 g_ij cos(omega_ij t + phi_ij); the matrix is
@@ -388,13 +398,15 @@ def hamiltonian_full(system: LevelSystem, t: float) -> np.ndarray:
     keeps both Hamiltonians describing the same physical drive: the stored
     couplings follow the rotating-frame convention, where a cosine drive of
     amplitude A contributes A/2 to the co-rotating term that survives the
-    approximation.
+    approximation.  ``t`` is a scalar or a 1-D array, as in
+    ``hamiltonian_rwa``.
     """
     p = system._pairs
-    h = p.h0.copy()
-    v = 2.0 * p.g * np.cos(p.omega * t + p.phi)
-    h[p.rows, p.cols] = v
-    h[p.cols, p.rows] = v
+    t = np.asarray(t, dtype=float)
+    h = _stack(p.h0, t)
+    v = 2.0 * p.g * np.cos(p.omega * t[..., None] + p.phi)
+    h[..., p.rows, p.cols] = v
+    h[..., p.cols, p.rows] = v
     return h
 
 

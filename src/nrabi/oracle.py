@@ -24,6 +24,12 @@ _TAYLOR_DEGREE = 12
 _MAX_EXPM_NORM = 1e6
 
 
+def _require_count(name: str, value, minimum: int) -> None:
+    # a bool is an int, a float count would reach linspace, and NaN compares false
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Adaptive RK4 settings; the defaults suit the bundled scenarios."""
@@ -39,10 +45,7 @@ class IntegrationConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
-        # a bool is an int, and NaN would switch the step budget off
-        steps = self.max_steps
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-            raise InvalidInputError(f"max_steps must be an integer >= 1, got {steps!r}")
+        _require_count("max_steps", self.max_steps, 1)
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,8 @@ class TimeSeries:
     """Sampled trajectory: times, state amplitudes (rows) and level populations.
 
     ``steps_accepted`` and ``steps_rejected`` count step-doubling attempts;
-    ``h_evals`` counts calls to the caller's Hamiltonian.
+    ``h_evals`` counts the times at which the caller's Hamiltonian was
+    evaluated.
     """
 
     times: np.ndarray
@@ -68,22 +72,40 @@ class TimeSeries:
         object.__setattr__(self, "times", times)
 
 
-def _require_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(h))))
-    # NaN-safe: a non-finite entry makes the defect NaN, which fails the test
-    if not float(np.max(np.abs(h - h.conj().T))) <= _HERMITICITY_RTOL * scale:
+def _hamiltonians(hamiltonian, ts: list, n: int) -> np.ndarray:
+    """The caller's Hamiltonians at ``ts`` as a (T, n, n) stack, each checked
+    finite and Hermitian within 1e-12 of max(1, its largest entry)."""
+    hs = np.asarray(hamiltonian(np.array(ts)), dtype=complex)
+    if hs.shape != (len(ts), n, n):
+        raise InvalidInputError(
+            f"hamiltonian must map {len(ts)} times to a ({len(ts)}, {n}, {n}) stack, "
+            f"got shape {hs.shape}"
+        )
+    scale = np.abs(hs).max(axis=(1, 2))
+    bad = ~np.isfinite(scale)
+    if not bad.any():
+        defect = np.abs(hs - hs.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        bad = defect > _HERMITICITY_RTOL * np.maximum(scale, 1.0)
+    if bad.any():
+        t = ts[int(np.argmax(bad))]
         raise IntegrationError(f"Hamiltonian is not finite and Hermitian at t = {t!r}")
-    return h
+    return hs
+
+
+def _rk4(psi, dt, k1, h2, h3, h4):
+    # the classic RK4 stages after k1 = -i H(t) psi
+    k2 = -1j * (h2 @ (psi + (0.5 * dt) * k1))
+    k3 = -1j * (h3 @ (psi + (0.5 * dt) * k2))
+    k4 = -1j * (h4 @ (psi + dt * k3))
+    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(hamiltonian, t: float, psi: np.ndarray, dt: float) -> np.ndarray:
     """One classic fourth-order Runge-Kutta step of i dpsi/dt = H(t) psi."""
     k1 = -1j * (hamiltonian(t) @ psi)
-    k2 = -1j * (hamiltonian(t + 0.5 * dt) @ (psi + (0.5 * dt) * k1))
-    k3 = -1j * (hamiltonian(t + 0.5 * dt) @ (psi + (0.5 * dt) * k2))
-    k4 = -1j * (hamiltonian(t + dt) @ (psi + dt * k3))
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(
+        psi, dt, k1, hamiltonian(t + 0.5 * dt), hamiltonian(t + 0.5 * dt), hamiltonian(t + dt)
+    )
 
 
 def integrate_schrodinger(
@@ -95,60 +117,59 @@ def integrate_schrodinger(
 ) -> TimeSeries:
     """Integrate i dpsi/dt = H(t) psi over [0, t_end] and sample it uniformly.
 
-    ``hamiltonian`` maps a time to a Hermitian matrix (checked hard at the
-    endpoints and spot-checked at every accepted step).  Each step is taken
+    ``hamiltonian`` maps a 1-D array of T times to a (T, n, n) stack of
+    Hermitian matrices, e.g. ``lambda t: hamiltonian_rwa(system, t)``; a
+    stack of another shape raises InvalidInputError.  Each step is taken
     once at full size and twice at half size; the pair must agree within
     abs_tol + rel_tol * ||psi|| for the step to be accepted, and the step size
-    follows the usual fourth-order controller.  Raises IntegrationError when
-    the step budget runs out.  ``hamiltonian`` must depend on t alone: within
-    one attempt each distinct time is evaluated once and the matrix reused.
-    The result counts accepted and rejected attempts and calls to
-    ``hamiltonian``.
+    follows the usual fourth-order controller.  Every attempt evaluates its
+    distinct new times t + s/4, t + s/2, t + s/2 + s/4, t + s/2 + s/2 and
+    t + s in one call (H(t) is carried over from the accepted step before),
+    so ``hamiltonian`` must depend on t alone, and every matrix it returns
+    must be finite and Hermitian or IntegrationError is raised.  Raises
+    IntegrationError when the step budget runs out.  The result counts
+    accepted and rejected attempts and the times evaluated.
     """
     cfg = config or IntegrationConfig()
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise InvalidInputError(f"t_end must be positive and finite, got {t_end!r}")
-    if samples < 2:
-        raise InvalidInputError("need at least two samples")
+    _require_count("samples", samples, 2)
     times = np.linspace(0.0, t_end, samples)
-
-    # An attempt of step s makes 12 calls at t, t + s/4, t + s/2,
-    # t + s/2 + s/4, t + s/2 + s/2 and t + s; the memo, keyed by the exact
-    # float and cleared per attempt except for H(t), makes each one call.
-    memo: dict = {}
-    h_evals = 0
-
-    def h_at(t):
-        nonlocal h_evals
-        h = memo.get(t)
-        if h is None:
-            h = memo[t] = hamiltonian(t)
-            h_evals += 1
-        return h
-
-    _require_hermitian(h_at(0.0), 0.0)
-    _require_hermitian(h_at(t_end), t_end)
+    grid = times.tolist()
 
     psi = np.array(psi0.amplitudes, dtype=complex)
-    states = np.empty((samples, psi.size), dtype=complex)
+    n = psi.size
+    h_t = _hamiltonians(hamiltonian, [0.0, float(t_end)], n)[0]
+    h_evals = 2
+    states = np.empty((samples, n), dtype=complex)
     states[0] = psi
     h = min(cfg.dt, t_end / (samples - 1))
     steps = accepted = 0
     for k in range(1, samples):
-        t = times[k - 1]
-        t_target = times[k]
+        t = grid[k - 1]
+        t_target = grid[k]
         while t < t_target:
-            h_t = h_at(t)
-            memo.clear()
-            memo[t] = h_t
             remaining = t_target - t
             last = h >= remaining
             step = remaining if last else h
-            full = rk4_step(h_at, t, psi, step)
-            half = rk4_step(h_at, t, psi, 0.5 * step)
-            half = rk4_step(h_at, t + 0.5 * step, half, 0.5 * step)
-            err = float(np.linalg.norm(half - full))
-            tol = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(half))
+            half = 0.5 * step
+            mid = t + half
+            # the times at which the full step and the two half steps need H,
+            # each distinct float once, in order, t first
+            stage = (t, t + 0.5 * half, mid, mid + 0.5 * half, mid + half, t + step)
+            at = dict.fromkeys(stage)
+            new = list(at)[1:]
+            at.update(zip(new, _hamiltonians(hamiltonian, new, n)))
+            at[t] = h_t
+            h_evals += len(new)
+            h_q1, h_mid, h_q3, h_half_end, h_end = (at[x] for x in stage[1:])
+            k1 = -1j * (h_t @ psi)
+            full = _rk4(psi, step, k1, h_mid, h_mid, h_end)
+            psi_half = _rk4(psi, half, k1, h_q1, h_q1, h_mid)
+            k1 = -1j * (h_mid @ psi_half)
+            psi_half = _rk4(psi_half, half, k1, h_q3, h_q3, h_half_end)
+            err = float(np.linalg.norm(psi_half - full))
+            tol = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(psi_half))
             steps += 1
             if steps > cfg.max_steps:
                 raise IntegrationError(
@@ -156,9 +177,13 @@ def integrate_schrodinger(
                 )
             if err <= tol:
                 accepted += 1
-                psi = half
+                psi = psi_half
                 t = t_target if last else t + step
-                _require_hermitian(h_at(t), t)
+                h_t = at.get(t)
+                if h_t is None:
+                    # a clamped final sub-step can end off its own stage times
+                    h_t = _hamiltonians(hamiltonian, [t], n)[0]
+                    h_evals += 1
                 if cfg.renormalize:
                     psi = psi / np.linalg.norm(psi)
                 if not last:

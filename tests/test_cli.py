@@ -253,6 +253,36 @@ class TestRejectsNonFiniteAndMistypedInput:
         err = self.run_simulate(tmp_path, capsys, couplings=couplings)
         assert "couplings[1] repeats the pair (0, 1)" in err
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"levels": ["0", "1"]}, "levels[0] must be a number"),
+            ({"levels": [0.0, True]}, "levels[1] must be a number"),
+            ({"t_end": "1.0"}, "t_end must be a number"),
+            ({"initial": [["1", 0.0], [0.0, 0.0]]}, "initial[0][0] must be a number"),
+            ({"initial": [[1.0, 0.0], [0.0, False]]}, "initial[1][1] must be a number"),
+            ({"samples": "501"}, "samples must be an integer"),
+        ],
+    )
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, capsys, changes, message):
+        # float() took each of these and the run exited 0
+        assert message in self.run_simulate(tmp_path, capsys, **changes)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("g", "1e0", "couplings[0].g must be a number"),
+            ("g", True, "couplings[0].g must be a number"),
+            ("omega", "1", "couplings[0].omega must be a number"),
+            ("phi", "0.5", "couplings[0].phi must be a number"),
+            ("i", "0", "couplings[0].i must be an integer"),
+            ("j", "1", "couplings[0].j must be an integer"),
+        ],
+    )
+    def test_coupling_fields_must_be_numbers(self, tmp_path, capsys, key, value, message):
+        coupling = {"i": 0, "j": 1, "g": 1.0, "omega": 1.0, key: value}
+        assert message in self.run_simulate(tmp_path, capsys, couplings=[coupling])
+
     @pytest.mark.parametrize("levels", ["01", "013"])
     def test_levels_not_an_array(self, tmp_path, capsys, levels):
         assert "levels must be an array" in self.run_simulate(tmp_path, capsys, levels=levels)

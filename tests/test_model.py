@@ -319,14 +319,25 @@ def driven_systems(draw):
 class TestPairArrayHamiltonians:
     """The array-built Hamiltonians equal the per-pair loops bit for bit."""
 
-    @given(system=driven_systems(), t=st.floats(-100.0, 100.0))
-    def test_equal_to_per_pair_loops(self, system, t):
+    @given(
+        system=driven_systems(),
+        t=st.floats(-100.0, 100.0),
+        ts=st.lists(st.floats(-100.0, 100.0), max_size=8),
+    )
+    def test_equal_to_per_pair_loops(self, system, t, ts):
         stripped = system.without_phases()
         assert np.array_equal(hamiltonian_rwa(stripped, t), loop_hamiltonian_rwa(stripped, t))
         assert np.array_equal(hamiltonian_full(system, t), loop_hamiltonian_full(system, t))
         assert np.array_equal(
             rotating_frame_hamiltonian(system, t), loop_rotating_frame_hamiltonian(system, t)
         )
+        # a 1-D time array gives a stack whose slices are the scalar calls
+        rwa = hamiltonian_rwa(stripped, np.array(ts))
+        full = hamiltonian_full(system, np.array(ts))
+        assert rwa.shape == full.shape == (len(ts), system.n, system.n)
+        for k, tk in enumerate(ts):
+            assert np.array_equal(rwa[k], hamiltonian_rwa(stripped, tk))
+            assert np.array_equal(full[k], hamiltonian_full(system, tk))
 
     def test_returned_matrices_are_fresh(self):
         h = hamiltonian_rwa(THREE_LEVEL, 0.5)

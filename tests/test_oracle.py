@@ -27,7 +27,9 @@ THREE_LEVEL = LevelSystem.resonant((0.0, 1.0, 3.0), {(0, 1): 1.0, (0, 2): 3.0, (
 class TestIntegrate:
     def test_diagonal_hamiltonian_is_pure_phase(self):
         h = np.diag([0.0, 1.5, 4.0]).astype(complex)
-        series = integrate_schrodinger(lambda t: h, StateVector.basis(3, 1), 3.0, 31)
+        series = integrate_schrodinger(
+            lambda ts: np.broadcast_to(h, (len(ts), 3, 3)), StateVector.basis(3, 1), 3.0, 31
+        )
         for k, t in enumerate(series.times):
             expected = np.array([0.0, np.exp(-1j * 1.5 * t), 0.0])
             assert np.linalg.norm(series.states[k] - expected) <= 1e-8
@@ -81,7 +83,35 @@ class TestIntegrate:
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(IntegrationError):
-            integrate_schrodinger(lambda t: bad, StateVector.basis(2, 0), 1.0, 5)
+            integrate_schrodinger(
+                lambda ts: np.broadcast_to(bad, (len(ts), 2, 2)), StateVector.basis(2, 0), 1.0, 5
+            )
+
+    def test_every_evaluated_matrix_is_checked(self):
+        # Hermitian on the sample grid, not in between: when only the
+        # matrices at accepted times were checked this integrated silently
+        grid = np.linspace(0.0, 2.0, 3)
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+        def hamiltonian(ts):
+            return np.where(np.isin(ts, grid)[:, None, None], 0.0, bad)
+
+        with pytest.raises(IntegrationError, match=r"at t = 0\.25$"):
+            integrate_schrodinger(
+                hamiltonian, StateVector.basis(2, 0), 2.0, 3, IntegrationConfig(dt=1.0)
+            )
+
+    @pytest.mark.parametrize(
+        "hamiltonian",
+        [
+            lambda ts: np.zeros((len(ts), 3, 3), dtype=complex),
+            lambda ts: np.zeros((2, 2), dtype=complex),
+        ],
+        ids=["three-level-stack", "one-matrix"],
+    )
+    def test_stack_shape_must_match_state(self, hamiltonian):
+        with pytest.raises(InvalidInputError, match="stack"):
+            integrate_schrodinger(hamiltonian, StateVector.basis(2, 0), 1.0, 5)
 
     def test_max_steps_exceeded(self):
         cfg = IntegrationConfig(dt=1e-6, rel_tol=1e-13, abs_tol=1e-16, max_steps=10)
@@ -117,6 +147,27 @@ class TestRejectsNonFiniteSettings:
     def test_max_steps_accepts_integers(self, steps):
         assert IntegrationConfig(max_steps=steps).max_steps == steps
 
+    @pytest.mark.parametrize("samples", [2.5, np.float64(3.0), True, 1, "3"])
+    def test_samples(self, samples):
+        # 2.5 and float64(3.0) escaped as a TypeError from linspace
+        with pytest.raises(InvalidInputError, match="samples must be an integer >= 2"):
+            integrate_schrodinger(
+                lambda ts: np.zeros((len(ts), 2, 2), dtype=complex),
+                StateVector.basis(2, 0),
+                1.0,
+                samples,
+            )
+
+    @pytest.mark.parametrize("samples", [2, np.int64(3)])
+    def test_samples_accepts_integers(self, samples):
+        series = integrate_schrodinger(
+            lambda ts: np.zeros((len(ts), 2, 2), dtype=complex),
+            StateVector.basis(2, 0),
+            1.0,
+            samples,
+        )
+        assert series.states.shape == (samples, 2)
+
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
     def test_t_end(self, t_end):
         with pytest.raises(InvalidInputError, match="t_end"):
@@ -127,7 +178,9 @@ class TestRejectsNonFiniteSettings:
     def test_nan_hamiltonian_rejected(self):
         nan = np.full((2, 2), np.nan, dtype=complex)
         with pytest.raises(IntegrationError):
-            integrate_schrodinger(lambda t: nan, StateVector.basis(2, 0), 1.0, 5)
+            integrate_schrodinger(
+                lambda ts: np.broadcast_to(nan, (len(ts), 2, 2)), StateVector.basis(2, 0), 1.0, 5
+            )
 
 
 def reference_integrate(hamiltonian, psi0, t_end, samples, cfg):
