@@ -11,9 +11,11 @@ U(t) exp(-itQ) psi(0) with U(t) a diagonal phase matrix.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -27,6 +29,16 @@ if TYPE_CHECKING:
 Pair = tuple[int, int]
 
 _NORM_ATOL = 1e-12
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-contiguous complex (T, n) array.
+
+    One real reduction over the interleaved parts; the one norm behind
+    StateVector's invariant and ``trajectory``'s row check.
+    """
+    parts = a.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
 def _level_pairs(n: int) -> list[Pair]:
@@ -56,7 +68,7 @@ def _canonical_pairs(values, n: int, what: str) -> dict[Pair, float]:
         if (i, j) in out:
             raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
         v = float(value)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise InvalidInputError(f"{what}[{i},{j}] is not finite")
         out[(i, j)] = v
     return out
@@ -73,10 +85,11 @@ class LevelSystem:
     All quantities share one angular-frequency unit; time is its inverse.
 
     The three maps are stored read-only, so a system never changes after
-    construction; build a new one to change a coupling.  Its t-independent
-    closed-form work (condition reports, Q, frame frequencies, spectral
-    plans) is therefore done once per system and reused by every
-    ``trajectory`` call on it.
+    construction; build a new one to change a coupling.  Whether any phase
+    is nonzero is therefore decided once, at construction, and its
+    t-independent closed-form work (condition reports, Q, frame
+    frequencies, spectral plans) once per system, and both are reused by
+    every ``trajectory`` call on it.
     """
 
     energies: tuple[float, ...]
@@ -108,12 +121,15 @@ class LevelSystem:
             raise InvalidInputError("couplings must be non-negative")
 
         phases = _canonical_pairs(self.phases, n, "phase")
+        phased = any(p != 0.0 for p in phases.values())
         for pair in pairs:
             phases.setdefault(pair, 0.0)
 
         object.__setattr__(self, "couplings", MappingProxyType(couplings))
         object.__setattr__(self, "drive_frequencies", MappingProxyType(freqs))
         object.__setattr__(self, "phases", MappingProxyType(phases))
+        # read by has_phases, trajectory and hamiltonian_rwa
+        object.__setattr__(self, "_phased", phased)
 
     def __reduce__(self):
         # read-only maps do not pickle; a copy is rebuilt (and re-validated)
@@ -158,7 +174,7 @@ class LevelSystem:
         return max(abs(w) for w in self.drive_frequencies.values())
 
     def has_phases(self) -> bool:
-        return any(p != 0.0 for p in self.phases.values())
+        return self._phased
 
     def without_phases(self) -> "LevelSystem":
         if not self.has_phases():
@@ -196,8 +212,10 @@ class LevelSystem:
 
     @cached_property
     def _frame_frequencies(self) -> np.ndarray:
-        # (0, omega_1, omega_1 + omega_2, ...): the frame phase rates of U(t)
-        acc = np.concatenate(([0.0], np.cumsum(self.sequential_frequencies())))
+        # (0, omega_1, omega_1 + omega_2, ...): the frame phase rates of U(t),
+        # summed left to right as np.cumsum does
+        seq = (self.drive_frequencies[(j - 1, j)] for j in range(1, self.n))
+        acc = np.array([0.0, *accumulate(seq)])
         acc.setflags(write=False)
         return acc
 
@@ -219,9 +237,9 @@ class CouplingMatrix:
             raise InvalidInputError("coupling matrix must be square, n >= 2")
         if not np.isfinite(a).all():
             raise InvalidInputError("coupling matrix entries must be finite")
-        if np.any(np.diag(a) != 0.0):
+        if (a.diagonal() != 0.0).any():
             raise InvalidInputError("coupling matrix diagonal must be exactly zero")
-        if np.any(a != a.T):
+        if (a != a.T).any():
             raise InvalidInputError("coupling matrix must be exactly symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -255,7 +273,7 @@ class StateVector:
         a = np.array(self.amplitudes, dtype=complex)
         if a.ndim != 1 or a.size < 2:
             raise InvalidInputError("state vector must be 1-D with n >= 2")
-        norm = float(np.linalg.norm(a))
+        norm = float(_row_norms(a[None, :])[0])
         if not abs(norm - 1.0) <= _NORM_ATOL:  # also rejects NaN
             raise InvalidInputError(
                 f"state vector norm {norm!r} deviates from 1 by more than {_NORM_ATOL}"
@@ -278,7 +296,22 @@ class StateVector:
         return cls(a / norm)
 
     @classmethod
+    def _of_checked_row(cls, row: np.ndarray) -> "StateVector":
+        # a read-only complex (n,) row, n >= 2, that already passed
+        # trajectory's check: the same norm at the same bound
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", row)
+        return state
+
+    @classmethod
     def basis(cls, n: int, index: int) -> "StateVector":
+        """|index> in n levels; ``index`` is an integer (not a bool) in [0, n)."""
+        if (
+            isinstance(index, bool)
+            or not isinstance(index, (int, np.integer))
+            or not 0 <= index < n
+        ):
+            raise InvalidInputError(f"basis index must be an integer in [0, {n}), got {index!r}")
         a = np.zeros(n, dtype=complex)
         a[index] = 1.0
         return cls(a)
@@ -325,18 +358,21 @@ def check_consistency(system: LevelSystem, tol: float | None = None) -> Conditio
     """Check omega_ij = omega_{i+1} + ... + omega_j for every pair with j - i >= 2.
 
     The omega_l on the right are the adjacent-pair frequencies; under
-    resonance the sum equals E_j - E_i.  Two-level systems satisfy this
+    resonance the sum equals E_j - E_i.  The residual is
+    |epsilon_ij| = |omega_ij - (acc_j - acc_i)| with acc the accumulated
+    frame frequencies, the same epsilon_ij that ``rotating_frame_hamiltonian``
+    puts in its off-diagonal phases.  Two-level systems satisfy this
     vacuously.
     """
     tol = default_condition_tolerance(system) if tol is None else float(tol)
     if tol <= 0.0:
         raise InvalidInputError("tolerance must be positive")
-    seq = system.sequential_frequencies()
-    residuals = {}
-    for (i, j), w in system.drive_frequencies.items():
-        if j - i < 2:
-            continue
-        residuals[f"epsilon[{i},{j}]"] = abs(w - float(np.sum(seq[i:j])))
+    acc = system._frame_frequencies.tolist()
+    residuals = {
+        f"epsilon[{i},{j}]": abs(w - (acc[j] - acc[i]))
+        for (i, j), w in system.drive_frequencies.items()
+        if j - i >= 2
+    }
     worst = max(residuals.values(), default=0.0)
     return ConditionReport(worst <= tol, residuals, worst, tol)
 
@@ -376,7 +412,7 @@ def hamiltonian_rwa(system: LevelSystem, t) -> np.ndarray:
     (T, n, n) stack whose slices equal the scalar calls bit for bit.
     Drive phases are not representable on this path and are rejected.
     """
-    if system.has_phases():
+    if system._phased:
         raise InvalidInputError(
             "the RWA interaction is phase-free; nonzero drive phases are only "
             "supported by hamiltonian_full"
@@ -460,38 +496,14 @@ def trajectory(
     kept on the system and reused by later calls; a check or plan that
     raises is redone, and raises again, on every call.  ``times`` must be a
     non-empty 1-D array of finite values; the plan rejects anything else
-    before any phase is computed.  Every row must have unit norm within
-    1e-12, as a StateVector must, or InvalidInputError is raised.
+    before any phase is computed.  The frame phases of U(t) and the
+    eigenphases of the plan come from one exponential.  Every row must have
+    unit norm within 1e-12, as a StateVector must, or InvalidInputError is
+    raised.
     """
-    # deferred, and looked up per call: propagator builds on these types
-    from .propagator import Method, spectral_plan
-
-    if tol is None:
-        system._conditions  # the cached verdict; raises ConditionError unless both hold
-    else:
-        _require_conditions(system, tol)
-    if system.has_phases():
-        raise InvalidInputError("closed-form evolution requires zero drive phases")
-    if psi0.n != system.n:
-        raise InvalidInputError("initial state dimension does not match the system")
-    key = None if method is None else Method(method)
-    plan = system._plans.get(key)
-    if plan is None:
-        plan = system._plans[key] = spectral_plan(system._q, key)
-    times = np.array(times, dtype=float)
-    evolved = plan.evolve(psi0.amplitudes, times)  # rejects bad times before any phase
-    amplitudes = np.exp(-1j * np.outer(times, system._frame_frequencies)) * evolved
-    defect = np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0)
-    bad = ~(defect <= _NORM_ATOL)  # NaN counts as bad
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise InvalidInputError(
-            f"state norm at t = {float(times[k])!r} deviates from 1 by {float(defect[k]):.3e}, "
-            f"more than {_NORM_ATOL} ({plan.method.value} route)"
-        )
+    times, amplitudes, route = _framed_rows(system, psi0, times, method, tol)
     times.setflags(write=False)
-    amplitudes.setflags(write=False)
-    return Trajectory(times, amplitudes, plan.method)
+    return Trajectory(times, amplitudes, route)
 
 
 def full_solution(
@@ -504,5 +516,47 @@ def full_solution(
     """The state U(t) exp(-itQ) psi0 at one time: ``trajectory`` at T = 1.
 
     Same conditions, errors and ``method``/``tol`` arguments as ``trajectory``.
+    The row is checked once, by trajectory's norm check, which is
+    StateVector's.
     """
-    return StateVector(trajectory(system, psi0, [t], method, tol).amplitudes[0])
+    _, amplitudes, _ = _framed_rows(system, psi0, [t], method, tol)
+    return StateVector._of_checked_row(amplitudes[0])
+
+
+def _framed_rows(system, psi0, times, method, tol) -> tuple[np.ndarray, np.ndarray, Method]:
+    """Times, amplitudes and route behind ``trajectory`` and ``full_solution``.
+
+    The times come back as a fresh float array, the amplitudes
+    U(t) exp(-itQ) psi0 as a read-only (T, n) array whose every row passed
+    the norm check.
+    """
+    if tol is None:
+        system._conditions  # the cached verdict; raises ConditionError unless both hold
+    else:
+        _require_conditions(system, tol)
+    if system._phased:
+        raise InvalidInputError("closed-form evolution requires zero drive phases")
+    if psi0.n != system.n:
+        raise InvalidInputError("initial state dimension does not match the system")
+    # spectral_plan is looked up on its module per call, so a patch there applies
+    key = None if method is None else _propagator.Method(method)
+    plan = system._plans.get(key)
+    if plan is None:
+        plan = system._plans[key] = _propagator.spectral_plan(system._q, key)
+    times = np.array(times, dtype=float)
+    # rejects bad times before any phase
+    amplitudes = plan._evolve_in_frame(psi0.amplitudes, times, system._frame_frequencies)
+    defect = np.abs(_row_norms(amplitudes) - 1.0)
+    bad = ~(defect <= _NORM_ATOL)  # NaN counts as bad
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidInputError(
+            f"state norm at t = {float(times[k])!r} deviates from 1 by {float(defect[k]):.3e}, "
+            f"more than {_NORM_ATOL} ({plan.method.value} route)"
+        )
+    amplitudes.setflags(write=False)
+    return times, amplitudes, plan.method
+
+
+# last: propagator builds on the types above
+from . import propagator as _propagator  # noqa: E402

@@ -115,9 +115,18 @@ class SpectralPlan:
     projectors: np.ndarray | None = None
     q: np.ndarray | None = None
 
-    def _apply(self, block: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """exp(-itQ) @ block at every time, shape (T, n, k); t = 0 gives block exactly."""
+    def _apply(self, block: np.ndarray, t: np.ndarray, frame=None) -> np.ndarray:
+        """exp(-itQ) @ block at every time, shape (T, n, k); t = 0 gives block exactly.
+
+        With ``frame`` rates a, shape (n,), row i at time t is then multiplied
+        by e^{-i a_i t}; those phases and the eigenphases come from one
+        exponential.
+        """
         n, k = block.shape
+        rates = self.eigenvalues
+        if frame is not None:
+            rates = frame if rates is None else np.concatenate((rates, frame))
+        phases = None if rates is None else np.exp(-1j * (t[:, None] * rates))
         if self.method is Method.REFERENCE:
             from .oracle import reference_expm  # deferred: oracle imports model types
 
@@ -127,9 +136,11 @@ class SpectralPlan:
             # never makes a complex copy of the (m, n, n) projector stack
             parts = np.ascontiguousarray(block, dtype=complex).view(float)
             projected = (self.projectors @ parts).view(complex).reshape(-1, n * k)
-            phases = np.exp(-1j * np.outer(t, self.eigenvalues))
-            out = (phases @ projected).reshape(t.size, n, k)
-        out[t == 0.0] = block
+            out = (phases[:, : len(self.eigenvalues)] @ projected).reshape(t.size, n, k)
+        if not t.all():
+            out[t == 0.0] = block
+        if frame is not None:
+            out = phases[:, -n:, None] * out
         return out
 
     def propagators(self, times) -> np.ndarray:
@@ -143,6 +154,14 @@ class SpectralPlan:
         if psi.shape != (self.n,):
             raise InvalidInputError(f"state must have shape ({self.n},), got {psi.shape}")
         return self._apply(psi[:, None], t)[:, :, 0]
+
+    def _evolve_in_frame(self, psi: np.ndarray, times, frame: np.ndarray) -> np.ndarray:
+        """diag(e^{-i frame t}) exp(-itQ) psi at every time, shape (T, n).
+
+        ``trajectory``'s one call: ``psi`` is a complex (n,) array and
+        ``frame`` the (n,) frame rates; the times are checked here.
+        """
+        return self._apply(psi[:, None], _as_times(times), frame)[:, :, 0]
 
 
 def _lagrange_basis(spectrum: Spectrum) -> np.ndarray:
@@ -344,11 +363,12 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def equal_coupling_value(q: CouplingMatrix) -> float | None:
     """The shared coupling g when all off-diagonal entries agree within 1e-12 relative."""
-    off = q.entries[_upper_triangle(q.n)]
-    largest = float(np.max(np.abs(off)))
+    off = q.entries[_upper_triangle(q.n)].tolist()
+    lo, hi = min(off), max(off)
+    largest = max(hi, -lo)  # the largest |entry|
     if largest == 0.0:
         return 0.0
-    if float(np.max(off) - np.min(off)) <= _EQUAL_COUPLING_RTOL * largest:
+    if hi - lo <= _EQUAL_COUPLING_RTOL * largest:
         return float(np.mean(off))
     return None
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +65,9 @@ class Spectrum:
         values.setflags(write=False)
         object.__setattr__(self, "eigenvalues", values)
 
-    @property
+    @cached_property
     def spectral_radius(self) -> float:
+        # computed on the first read and kept: the eigenvalues are read-only
         return float(np.max(np.abs(self.eigenvalues)))
 
 

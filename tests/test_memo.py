@@ -73,6 +73,27 @@ class CallCounter:
         monkeypatch.setattr(module, name, counted)
 
 
+@pytest.mark.parametrize(
+    "n, equal, method, route",
+    ROUTES + [
+        (2, False, "two_level", Method.TWO_LEVEL),
+        (3, False, "lagrange3", Method.LAGRANGE3),
+        (4, False, "lagrange4", Method.LAGRANGE4),
+        (4, True, "equal_coupling", Method.EQUAL_COUPLING),
+    ],
+)
+def test_time_zero_returns_psi0_exactly(n, equal, method, route):
+    energies, couplings = system_args(n, equal)
+    psi0 = state(n)
+    system = LevelSystem.resonant(energies, couplings)
+    traj = trajectory(system, psi0, [0.0, 1.5, -0.0, 0.0], method)
+    assert traj.method is route
+    for k in (0, 2, 3):
+        assert np.array_equal(traj.amplitudes[k], psi0.amplitudes)
+    assert np.array_equal(trajectory(system, psi0, [0.0], method).amplitudes[0], psi0.amplitudes)
+    assert np.array_equal(full_solution(system, psi0, 0.0, method).amplitudes, psi0.amplitudes)
+
+
 @pytest.mark.parametrize("n, equal, method, route", ROUTES)
 def test_repeated_calls_equal_a_fresh_system(n, equal, method, route):
     energies, couplings = system_args(n, equal)
