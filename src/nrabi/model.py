@@ -543,8 +543,7 @@ def _framed_rows(system, psi0, times, method, tol) -> tuple[np.ndarray, np.ndarr
     plan = system._plans.get(key)
     if plan is None:
         plan = system._plans[key] = _propagator.spectral_plan(system._q, key)
-    times = np.array(times, dtype=float)
-    # rejects bad times before any phase
+    times = _propagator._as_times(times)
     amplitudes = plan._evolve_in_frame(psi0.amplitudes, times, system._frame_frequencies)
     defect = np.abs(_row_norms(amplitudes) - 1.0)
     bad = ~(defect <= _NORM_ATOL)  # NaN counts as bad

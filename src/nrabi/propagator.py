@@ -8,8 +8,8 @@ a route only decides how lambda and P are found:
   ((n-1) g, -g) and P = (J/n, I - J/n), J the all-ones matrix,
 * Cayley-Hamilton / Lagrange interpolation (n = 3, 4, non-degenerate
   spectrum): P_j = l_j(Q), a polynomial in Q, so it never diagonalizes,
-* diagonalization by the closed-form 3x3 eigenvectors or LAPACK ``eigh``
-  (any n): P_j = v_j v_j^T.
+* diagonalization by the closed-form 3x3 eigenvectors (each read off the
+  adjugate adj(lambda I - Q)) or LAPACK ``eigh`` (any n): P_j = v_j v_j^T.
 
 A scaling-and-squaring reference exponential stays independent of them.
 ``spectral_plan`` picks a route for one Q and builds lambda and P once; the
@@ -34,7 +34,6 @@ from .roots import DEGENERACY_GAP_RTOL, Spectrum, closed_form_spectrum
 _EQUAL_COUPLING_RTOL = 1e-12
 _EIGENVECTOR_RESIDUAL_RTOL = 1e-8
 _DIRECTION_RTOL = 1e-10
-_FALLBACK_RTOL = 1e-8
 _ORTHONORMALITY_ATOL = 1e-10
 
 
@@ -51,6 +50,8 @@ class Method(str, Enum):
 
 
 _LAGRANGE = (Method.LAGRANGE3, Method.LAGRANGE4)
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,17 @@ class EigenDecomposition:
 
 
 def _as_times(times) -> np.ndarray:
-    # the one check on sample times, made before any phase is computed
-    t = np.asarray(times, dtype=float)
+    # the one check on sample times, made before any phase is computed; a
+    # float conversion would take "1.5" and True, so the type is checked
+    # first, item by item in a list or tuple: numpy makes [0.0, True] floats
+    t = np.array(times)  # a fresh copy, so the caller's array is never exposed
+    if t.dtype.kind not in "iuf" or (
+        isinstance(times, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, times))
+    ):
+        raise InvalidInputError("sample times must be ints or floats, not booleans or strings")
     if t.ndim != 1 or t.size == 0:
         raise InvalidInputError("times must be a non-empty 1-D array")
+    t = t.astype(float, copy=False)
     if not np.isfinite(t).all():
         raise InvalidInputError("sample times must be finite")
     return t
@@ -158,10 +166,10 @@ class SpectralPlan:
     def _evolve_in_frame(self, psi: np.ndarray, times, frame: np.ndarray) -> np.ndarray:
         """diag(e^{-i frame t}) exp(-itQ) psi at every time, shape (T, n).
 
-        ``trajectory``'s one call: ``psi`` is a complex (n,) array and
-        ``frame`` the (n,) frame rates; the times are checked here.
+        ``trajectory``'s one call: ``psi`` is a complex (n,) array, ``times``
+        came from ``_as_times`` and ``frame`` holds the (n,) frame rates.
         """
-        return self._apply(psi[:, None], _as_times(times), frame)[:, :, 0]
+        return self._apply(psi[:, None], times, frame)[:, :, 0]
 
 
 def _lagrange_basis(spectrum: Spectrum) -> np.ndarray:
@@ -208,20 +216,27 @@ def _at(plan: SpectralPlan, t: float) -> Propagator:
     return Propagator(plan.n, plan.propagators([t])[0], t, plan.method)
 
 
+def _coupling(g) -> float:
+    # the single-time wrappers' g; dispatch reads g from a checked Q instead
+    if type(g) in _BOOL_TYPES or not isinstance(g, _REAL_TYPES) or not math.isfinite(g):
+        raise InvalidInputError(f"coupling must be a finite int or float, got {g!r}")
+    return g
+
+
 def propagator_two_level(g: float, t: float) -> Propagator:
-    """Resonant two-level propagator [[cos gt, -i sin gt], [-i sin gt, cos gt]]."""
-    return _at(_rank_one_plan(Method.TWO_LEVEL, 2, g), t)
+    """Resonant two-level propagator [[cos gt, -i sin gt], [-i sin gt, cos gt]]; g, t finite."""
+    return _at(_rank_one_plan(Method.TWO_LEVEL, 2, _coupling(g)), t)
 
 
 def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
     """Closed form for Q = g*R with R the all-ones off-diagonal matrix.
 
     R + I is rank one, so exp(-itQ) = e^{igt} (I + (e^{-ingt} - 1)/n * J) with
-    J the all-ones matrix.
+    J the all-ones matrix; n is an integer >= 2, and g and t are finite.
     """
-    if n < 2:
-        raise InvalidInputError("equal-coupling propagator needs n >= 2")
-    return _at(_rank_one_plan(Method.EQUAL_COUPLING, n, g), t)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidInputError(f"equal-coupling propagator needs an integer n >= 2, got {n!r}")
+    return _at(_rank_one_plan(Method.EQUAL_COUPLING, n, _coupling(g)), t)
 
 
 def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
@@ -230,8 +245,9 @@ def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
     f is the coefficient vector of sum_j e^{-it lambda_j} l_j(lambda) with
     l_j the Lagrange basis polynomials, i.e. the solution of the Vandermonde
     system sum_k f_k lambda_j^k = e^{-it lambda_j}.  A near-degenerate
-    spectrum is rejected.
+    spectrum is rejected, and so is a t that is not a finite int or float.
     """
+    _as_times([t])
     f = np.exp(-1j * t * spectrum.eigenvalues) @ _lagrange_basis(spectrum)
     return LagrangeCoeffs(f=f, t=t, spectrum=spectrum)
 
@@ -246,77 +262,53 @@ def propagator_lagrange(q: CouplingMatrix, t: float) -> Propagator:
     return propagator(q, t, Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4)
 
 
-def _unnormalized_eigenvector(
-    g1: float, g2: float, g3: float, lam: float
-) -> np.ndarray:
-    # elimination form of (Q - lam I) x = 0 solved for the third component
-    return np.array([lam * g3 + g1 * g2, lam * g2 + g1 * g3, lam * lam - g1 * g1])
-
-
 def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDecomposition:
     """Closed-form normalized eigenvectors of a 3x3 coupling matrix.
 
-    Column j has components sqrt((lambda_j^2 - g_{k+1}^2) / D_j) for k = 0..2
-    with g_4 = g_1 and D_j = 3 lambda_j^2 - (g1^2 + g2^2 + g3^2).  The square
-    roots fix magnitudes only; the sign pattern (first component kept
-    non-negative) is chosen by exhaustive search to minimize ||Q x - lambda x||.
-    When lambda_j^2 sits within 1e-8 of some g_k^2 the cancellation spoils the
-    magnitudes, and the unnormalized elimination form
-    (lambda g3 + g1 g2, lambda g2 + g1 g3, lambda^2 - g1^2) is used instead.
-    A vanishing D_j means the eigendirection is not isolated: degeneracy error.
-    D_j is the derivative of the characteristic polynomial, so it vanishes on
-    every eigenvalue pair that ``closed_form_spectrum`` merges.  A spectrum
-    that is near-degenerate but not merged (say, from another solver) can
-    pass every column's residual check yet give columns that are not
-    orthonormal; max |V^T V - I| above 1e-10 is a degeneracy error too.
+    With g1, g2, g3 the couplings (0, 1), (1, 2), (0, 2) and D = 3 lambda^2 -
+    (g1^2 + g2^2 + g3^2), a simple eigenvalue lambda has adj(lambda I - Q) =
+    D v v^T (the eigenvector-eigenvalue identity): the diagonal, lambda^2 -
+    g2^2, lambda^2 - g3^2, lambda^2 - g1^2, gives the magnitudes and the rest,
+    lambda g1 + g2 g3, lambda g2 + g1 g3, lambda g3 + g1 g2, the signs.
+    Column j is the column of v v^T with the largest diagonal entry over that
+    entry's square root, first component non-negative.  The spectrum must
+    hold three eigenvalues.  D, the derivative of the characteristic
+    polynomial, vanishes (to 1e-10 ||Q||^2) on Q = 0 and on every pair that
+    ``closed_form_spectrum`` merges: degeneracy error.  So is a residual
+    ||Q v - lambda v|| above 1e-8 ||Q||, or columns max |V^T V - I| above
+    1e-10 from orthonormal (a near-degenerate spectrum that was not merged,
+    say from another solver).
     """
     if q.n != 3:
         raise InvalidInputError(f"closed-form eigenvectors need n = 3, got n = {q.n}")
+    lams = spectrum.eigenvalues.tolist()
+    if len(lams) != 3:
+        raise InvalidInputError(f"closed-form eigenvectors need 3 eigenvalues, got {len(lams)}")
     a = q.entries
-    g1, g2, g3 = a[0, 1], a[1, 2], a[0, 2]
+    g1, g2, g3 = a[0, 1].item(), a[1, 2].item(), a[0, 2].item()
     gsq = g1 * g1 + g2 * g2 + g3 * g3
     norm_q = float(np.linalg.norm(a))
-    residual_bound = _EIGENVECTOR_RESIDUAL_RTOL * max(norm_q, 1e-30)
-    columns = []
-    for lam in spectrum.eigenvalues:
+    residual_bound = _EIGENVECTOR_RESIDUAL_RTOL * norm_q
+    vectors = np.empty((3, 3))
+    for j, lam in enumerate(lams):
         d = 3.0 * lam * lam - gsq
-        if abs(d) < _DIRECTION_RTOL * max(norm_q * norm_q, 1e-30):
+        if abs(d) <= _DIRECTION_RTOL * norm_q * norm_q:  # Q = 0 too
             raise DegenerateSpectrumError(
                 f"normalization denominator {d:.3e} vanishes for eigenvalue "
                 f"{lam!r}; use the Jacobi path"
             )
-        paired = (g2, g3, g1)
-        near_cancel = any(
-            abs(lam * lam - g * g) <= _FALLBACK_RTOL * max(1.0, gsq) for g in paired
-        )
-        column = None
-        if not near_cancel:
-            mags = np.sqrt(np.maximum([(lam * lam - g * g) / d for g in paired], 0.0))
-            best_res = math.inf
-            for s1 in (1.0, -1.0):
-                for s2 in (1.0, -1.0):
-                    x = mags * (1.0, s1, s2)
-                    res = float(np.linalg.norm(a @ x - lam * x))
-                    if res < best_res:
-                        best_res = res
-                        column = x
-            if best_res > residual_bound:
-                column = None  # cancellation worse than predicted; fall back
-        if column is None:
-            x = _unnormalized_eigenvector(g1, g2, g3, lam)
-            nrm = np.linalg.norm(x)
-            if nrm <= _DIRECTION_RTOL * max(norm_q * norm_q, 1e-30):
-                raise DegenerateSpectrumError(
-                    f"eigendirection for {lam!r} is not resolvable in closed form"
-                )
-            column = x / nrm
-            if float(np.linalg.norm(a @ column - lam * column)) > residual_bound:
-                raise DegenerateSpectrumError(
-                    f"closed-form eigenvector residual exceeds {residual_bound:.1e} "
-                    f"for eigenvalue {lam!r}"
-                )
-        columns.append(column)
-    vectors = np.column_stack(columns)
+        sq, c01, c12, c02 = lam * lam, lam * g1 + g2 * g3, lam * g2 + g1 * g3, lam * g3 + g1 * g2
+        adj = [[sq - g2 * g2, c01, c02], [c01, sq - g3 * g3, c12], [c02, c12, sq - g1 * g1]]
+        vvt = np.array(adj) / d  # v v^T
+        k = int(np.argmax(vvt.diagonal()))
+        column = vvt[k] / math.sqrt(vvt[k, k])
+        column = (-column if column[0] < 0.0 else column) + 0.0  # + 0.0 clears any -0.0
+        if float(np.linalg.norm(a @ column - lam * column)) > residual_bound:
+            raise DegenerateSpectrumError(
+                f"closed-form eigenvector residual exceeds {residual_bound:.1e} "
+                f"for eigenvalue {lam!r}"
+            )
+        vectors[:, j] = column
     defect = float(np.max(np.abs(vectors.T @ vectors - np.eye(3))))
     if not defect <= _ORTHONORMALITY_ATOL:
         raise DegenerateSpectrumError(
@@ -348,8 +340,13 @@ def jacobi_eigendecompose(q: CouplingMatrix) -> EigenDecomposition:
 def propagator_from_eigen(
     decomp: EigenDecomposition, t: float, method: Method = Method.JACOBI
 ) -> Propagator:
-    """exp(-itQ) = O diag(e^{-it lambda}) O^T from an eigendecomposition."""
-    return _at(_eigen_plan(method, decomp), t)
+    """exp(-itQ) = O diag(e^{-it lambda}) O^T from an eigendecomposition.
+
+    ``method`` labels the result: ``jacobi`` or ``closed_eigen3``.
+    """
+    if method not in (Method.JACOBI, Method.CLOSED_EIGEN3):
+        raise InvalidInputError(f"an eigendecomposition is jacobi or closed_eigen3, not {method!r}")
+    return _at(_eigen_plan(Method(method), decomp), t)
 
 
 @functools.cache

@@ -437,6 +437,7 @@ class TestEigen:
         assert [round(b) for _, b in spectra] == [2, -1, -1]
         # the degenerate pair has no isolated closed-form eigendirections
         assert "eigenvectors unavailable" in out
+        assert "np." not in out  # eigenvalues print as plain floats
 
     def test_five_levels_closed_form_unavailable(self, tmp_path, capsys):
         pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -504,6 +505,36 @@ class TestEigen:
         assert cmd_eigen(path) == 0
         out = capsys.readouterr().out
         assert "0.707106781" in out  # the 1/sqrt(2) middle component of the top eigenvector
+
+
+    def test_g01_zero_eigenvectors_and_closed_eigen3_route(self, tmp_path, capsys):
+        # a V atom: level 2 driven from 0 and from 1, the 0-1 transition undriven
+        path = write_scenario(
+            tmp_path,
+            "g01zero.json",
+            {
+                "levels": [0.0, 1.0, 3.0],
+                "couplings": [
+                    {"i": 0, "j": 1, "g": 0.0, "omega": 1.0},
+                    {"i": 1, "j": 2, "g": 0.7, "omega": 2.0},
+                    {"i": 0, "j": 2, "g": 1.3, "omega": 3.0},
+                ],
+                "initial": 0,
+                "t_end": 10.0,
+                "samples": 201,
+            },
+        )
+        assert cmd_eigen(path) == 0
+        out = capsys.readouterr().out
+        assert "unavailable" not in out
+        assert "closed-form eigenvectors (columns match the eigenvalue order):" in out
+        auto, forced = tmp_path / "auto.csv", tmp_path / "forced.csv"
+        assert main(["simulate", path, "--out", str(auto)]) == 0
+        assert main(["simulate", path, "--out", str(forced), "--method", "closed_eigen3"]) == 0
+        _, rows_auto, _ = read_csv(auto)
+        _, rows_forced, footer = read_csv(forced)
+        assert any("closed_eigen3" in line for line in footer)
+        assert np.max(np.abs(rows_auto - rows_forced)) <= 1e-12
 
 
 class TestCompare:

@@ -21,7 +21,9 @@ from nrabi import (
     hamiltonian_full,
     hamiltonian_rwa,
     integrate_schrodinger,
+    propagator,
     rotating_frame_hamiltonian,
+    spectral_plan,
     trajectory,
 )
 from nrabi.cli import Scenario, scenario_from_dict, scenario_to_dict
@@ -509,6 +511,16 @@ class TestTrajectory:
         with pytest.raises(InvalidInputError):
             trajectory(THREE_LEVEL, StateVector.basis(3, 0), times)
 
+    def test_int_times_match_float_times_and_the_caller_keeps_its_array(self):
+        psi0 = StateVector.basis(3, 0)
+        times = np.array([0.0, 1.0, 2.0])
+        traj = trajectory(THREE_LEVEL, psi0, times)
+        assert times.flags.writeable and traj.times is not times
+        for same in (np.arange(3), [0, 1, 2.0], (0, 1, 2)):
+            assert np.array_equal(trajectory(THREE_LEVEL, psi0, same).amplitudes, traj.amplitudes)
+        single = full_solution(THREE_LEVEL, psi0, 2).amplitudes
+        assert np.array_equal(single, full_solution(THREE_LEVEL, psi0, 2.0).amplitudes)
+
     @pytest.mark.xfail(
         strict=True,
         raises=InvalidInputError,
@@ -539,6 +551,42 @@ class TestTrajectory:
         monkeypatch.setattr(SpectralPlan, "_evolve_in_frame", spoiled)
         with pytest.raises(InvalidInputError, match="norm"):
             trajectory(THREE_LEVEL, StateVector.basis(3, 0), [0.0, 1.0, 2.0])
+
+
+# a float conversion takes every one of these; sample times are ints or floats
+BAD_TIME_SCALARS = ["1.5", b"1", True, np.bool_(True)]
+BAD_TIME_SEQUENCES = [
+    np.array([True, False]),
+    np.array(["0", "2.5"]),
+    np.array([b"0", b"1"]),
+    np.array([0.0, 1.0], dtype=object),
+    [0.0, True],
+    (0.0, "2.5"),
+    [np.bool_(False), 1.0],
+    ["0", "2.5", True],
+    [b"1"],
+]
+
+
+@pytest.mark.parametrize("times", BAD_TIME_SCALARS + BAD_TIME_SEQUENCES)
+def test_sample_times_must_be_ints_or_floats(times):
+    plan = spectral_plan(build_q(THREE_LEVEL))
+    calls = [
+        lambda: trajectory(THREE_LEVEL, StateVector.basis(3, 0), times),
+        lambda: plan.evolve(np.eye(3)[0], times),
+        lambda: plan.propagators(times),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="ints or floats"):
+            call()
+
+
+@pytest.mark.parametrize("t", BAD_TIME_SCALARS)
+def test_single_time_must_be_an_int_or_float(t):
+    with pytest.raises(InvalidInputError, match="ints or floats"):
+        full_solution(THREE_LEVEL, StateVector.basis(3, 0), t)
+    with pytest.raises(InvalidInputError, match="ints or floats"):
+        propagator(build_q(THREE_LEVEL), t)
 
 
 def test_state_vector_rejects_nan():

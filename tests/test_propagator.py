@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nrabi import (
@@ -191,6 +191,87 @@ class TestClosedEigenvectors:
             eigenvectors_three_level(q, spectrum)
 
 
+    def test_q01_zero_explicit_vectors(self):
+        # Q01 = 0: a V atom driven on 0-2 and 1-2, spectrum (lam, 0, -lam)
+        g02, g12 = 1.3, 0.7
+        lam = np.hypot(g02, g12)
+        q = coupling_matrix([0.0, g02, g12], 3)
+        decomp = eigenvectors_three_level(q, closed_form_spectrum(q))
+        expected = np.column_stack(
+            [
+                np.array([g02, g12, lam]) / (np.sqrt(2) * lam),
+                np.array([g12, -g02, 0.0]) / lam,
+                np.array([g02, g12, -lam]) / (np.sqrt(2) * lam),
+            ]
+        )
+        assert np.max(np.abs(decomp.vectors - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("pair", [0, 1, 2])
+    @pytest.mark.parametrize("g", [0.8, -1.7, 3e5])
+    def test_single_coupling(self, pair, g):
+        # two zero couplings: one driven pair and one spectator level
+        values = [0.0, 0.0, 0.0]
+        values[pair] = g
+        q = coupling_matrix(values, 3)
+        spectrum = closed_form_spectrum(q)
+        v = eigenvectors_three_level(q, spectrum).vectors
+        assert np.max(np.abs((v * spectrum.eigenvalues) @ v.T - q.entries)) <= 1e-15 * abs(g)
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-15
+        # first components non-negative, and no -0.0 for ``nrabi eigen`` to print
+        assert (v[0] >= 0.0).all() and not np.signbit(v[v == 0.0]).any()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-20, 1e20, 1e100])
+    def test_scale_free(self, scale):
+        q = coupling_matrix(np.array([1.3, -0.4, 0.7]) * scale, 3)
+        spectrum = closed_form_spectrum(q)
+        v = eigenvectors_three_level(q, spectrum).vectors
+        assert np.max(np.abs((v * spectrum.eigenvalues) @ v.T - q.entries)) <= 1e-15 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-15
+
+    def test_zero_matrix_raises(self):
+        q = coupling_matrix([0.0, 0.0, 0.0], 3)
+        with pytest.raises(DegenerateSpectrumError):
+            eigenvectors_three_level(q, spectrum_of([0.0, 0.0, 0.0]))
+
+    def test_spectrum_must_hold_three_eigenvalues(self):
+        q = coupling_matrix([1.0, 2.0, 3.0], 3)
+        with pytest.raises(InvalidInputError, match="3 eigenvalues"):
+            eigenvectors_three_level(q, spectrum_of([4.0, 1.0, -2.0, -3.0]))
+
+    def test_messages_print_plain_floats(self):
+        q = equal_q(3, 1.0)
+        with pytest.raises(DegenerateSpectrumError) as excinfo:
+            eigenvectors_three_level(q, closed_form_spectrum(q))
+        assert "np." not in str(excinfo.value)
+
+    @settings(max_examples=400)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 2.0)).map(
+                    lambda sg: sg[0] * sg[1]
+                ),
+                st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 6.0)).map(
+                    lambda se: se[0] * 10.0 ** se[1]
+                ),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_succeeds_on_every_well_separated_spectrum(self, values):
+        # signed, zeroed (one or two) and mixed-scale couplings
+        q = coupling_matrix(values, 3)
+        norm_q = np.linalg.norm(q.entries)
+        assume(norm_q > 0.0)
+        spectrum = closed_form_spectrum(q)
+        assume(spectrum.degeneracy_gap >= 1e-2 * spectrum.spectral_radius)
+        v = eigenvectors_three_level(q, spectrum).vectors
+        assert np.max(np.abs((v * spectrum.eigenvalues) @ v.T - q.entries)) <= 1e-12 * norm_q
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-12
+
+
 class TestJacobi:
     def test_two_by_two(self):
         decomp = jacobi_eigendecompose(coupling_matrix([0.9], 2))
@@ -241,6 +322,51 @@ class TestPropagatorFromEigen:
             t = rng.uniform(0, 10)
             p = propagator_from_eigen(jacobi_eigendecompose(q), t).matrix
             assert np.linalg.norm(p - reference_expm(-1j * t * q.entries)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: propagator_two_level(float("nan"), 1.0),
+        lambda: propagator_two_level(float("inf"), 1.0),
+        lambda: propagator_two_level(True, 1.0),
+        lambda: propagator_two_level(0.5, float("nan")),
+        lambda: propagator_equal_coupling(3, float("nan"), 1.0),
+        lambda: propagator_equal_coupling(3, float("-inf"), 1.0),
+        lambda: propagator_equal_coupling(2.5, 1.0, 1.0),
+        lambda: propagator_equal_coupling(True, 1.0, 1.0),
+        lambda: lagrange_coeffs(spectrum_of([1.7, 0.4, -2.1]), float("nan")),
+        lambda: lagrange_coeffs(spectrum_of([1.7, 0.4, -2.1]), "1.0"),
+        lambda: propagator_from_eigen(
+            jacobi_eigendecompose(coupling_matrix([1.0, 2.0, 3.0], 3)), 1.0, Method.LAGRANGE3
+        ),
+        lambda: propagator_from_eigen(
+            jacobi_eigendecompose(coupling_matrix([1.0, 2.0, 3.0], 3)), 1.0, "reference"
+        ),
+    ],
+    ids=[
+        "two_level_nan_g",
+        "two_level_inf_g",
+        "two_level_bool_g",
+        "two_level_nan_t",
+        "equal_coupling_nan_g",
+        "equal_coupling_inf_g",
+        "equal_coupling_fractional_n",
+        "equal_coupling_bool_n",
+        "lagrange_coeffs_nan_t",
+        "lagrange_coeffs_str_t",
+        "from_eigen_lagrange3_label",
+        "from_eigen_reference_label",
+    ],
+)
+def test_single_time_wrappers_fail_loudly(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_from_eigen_accepts_eigen_route_names():
+    decomp = jacobi_eigendecompose(coupling_matrix([1.0, 2.0, 3.0], 3))
+    assert propagator_from_eigen(decomp, 1.0, "closed_eigen3").method is Method.CLOSED_EIGEN3
 
 
 class TestDispatcher:
