@@ -29,6 +29,23 @@ if TYPE_CHECKING:
 Pair = tuple[int, int]
 
 _NORM_ATOL = 1e-12
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _finite_real(x) -> bool:
+    """Whether x is an int or float (numpy's too, not a bool) with a finite value.
+
+    The one check behind every single-value input: couplings of the
+    single-time propagators, a single sample time and a condition tolerance.
+    An int past the float range is not finite.
+    """
+    if type(x) in _BOOL_TYPES or not isinstance(x, _REAL_TYPES):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -171,7 +188,7 @@ class LevelSystem:
         )
 
     def max_drive_frequency(self) -> float:
-        return max(abs(w) for w in self.drive_frequencies.values())
+        return max(map(abs, self.drive_frequencies.values()))
 
     def has_phases(self) -> bool:
         return self._phased
@@ -235,11 +252,12 @@ class CouplingMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
             raise InvalidInputError("coupling matrix must be square, n >= 2")
-        if not np.isfinite(a).all():
+        # one count per rule: a count is cheaper than .all() or .any() on small arrays
+        if np.count_nonzero(np.isfinite(a)) != a.size:
             raise InvalidInputError("coupling matrix entries must be finite")
-        if (a.diagonal() != 0.0).any():
+        if np.count_nonzero(a.diagonal()):
             raise InvalidInputError("coupling matrix diagonal must be exactly zero")
-        if (a != a.T).any():
+        if np.count_nonzero(a != a.T):
             raise InvalidInputError("coupling matrix must be exactly symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
@@ -338,11 +356,23 @@ def build_q(system: LevelSystem) -> CouplingMatrix:
     return CouplingMatrix(q)
 
 
-def check_resonance(system: LevelSystem, tol: float | None = None) -> ConditionReport:
-    """Check omega_{j-1,j} = E_j - E_{j-1} for every adjacent pair."""
-    tol = default_condition_tolerance(system) if tol is None else float(tol)
+def _tolerance(system: LevelSystem, tol) -> float:
+    # None means the default; otherwise a finite positive int or float
+    if tol is None:
+        return default_condition_tolerance(system)
+    if not _finite_real(tol):
+        raise InvalidInputError(f"tolerance must be a finite int or float, got {tol!r}")
     if tol <= 0.0:
         raise InvalidInputError("tolerance must be positive")
+    return float(tol)
+
+
+def check_resonance(system: LevelSystem, tol: float | None = None) -> ConditionReport:
+    """Check omega_{j-1,j} = E_j - E_{j-1} for every adjacent pair.
+
+    ``tol`` is None (the default tolerance) or a finite positive int or float.
+    """
+    tol = _tolerance(system, tol)
     e = system.energies
     residuals = {
         f"omega[{j - 1},{j}]": abs(
@@ -362,11 +392,9 @@ def check_consistency(system: LevelSystem, tol: float | None = None) -> Conditio
     |epsilon_ij| = |omega_ij - (acc_j - acc_i)| with acc the accumulated
     frame frequencies, the same epsilon_ij that ``rotating_frame_hamiltonian``
     puts in its off-diagonal phases.  Two-level systems satisfy this
-    vacuously.
+    vacuously.  ``tol`` is as in ``check_resonance``.
     """
-    tol = default_condition_tolerance(system) if tol is None else float(tol)
-    if tol <= 0.0:
-        raise InvalidInputError("tolerance must be positive")
+    tol = _tolerance(system, tol)
     acc = system._frame_frequencies.tolist()
     residuals = {
         f"epsilon[{i},{j}]": abs(w - (acc[j] - acc[i]))
@@ -380,6 +408,8 @@ def check_consistency(system: LevelSystem, tol: float | None = None) -> Conditio
 def _require_conditions(
     system: LevelSystem, tol: float | None
 ) -> tuple[ConditionReport, ConditionReport]:
+    if tol is None:
+        tol = default_condition_tolerance(system)  # once, for both checks
     resonance = check_resonance(system, tol)
     consistency = check_consistency(system, tol)
     if not (resonance.satisfied and consistency.satisfied):
@@ -489,19 +519,23 @@ def trajectory(
 
     Requires the resonance and consistency conditions (checked first, at
     ``tol``, defaulting to 1e-9 relative to the largest drive frequency;
-    ConditionError otherwise), then zero drive phases.  Q and its spectral
-    plan are built once for all times; ``method`` optionally forces a
-    propagator method.  The t-independent work (the default-tolerance
-    verdict, Q, the frame frequencies and one plan per requested method) is
-    kept on the system and reused by later calls; a check or plan that
-    raises is redone, and raises again, on every call.  ``times`` must be a
-    non-empty 1-D array of finite values; the plan rejects anything else
-    before any phase is computed.  The frame phases of U(t) and the
-    eigenphases of the plan come from one exponential.  Every row must have
-    unit norm within 1e-12, as a StateVector must, or InvalidInputError is
-    raised.
+    ConditionError otherwise), then zero drive phases and a ``psi0`` that is
+    a StateVector of the system's size.  ``tol`` is None or a finite positive
+    int or float.  Q and its spectral plan are built once for all times;
+    ``method`` optionally forces a propagator method, and a name that is no
+    method raises InvalidInputError.  The t-independent work (the
+    default-tolerance verdict, Q, the frame frequencies and one plan per
+    requested method) is kept on the system and reused by later calls; a
+    check or plan that raises is redone, and raises again, on every call.
+    The plan keeps the joined frame and eigen rates and P psi0 of the last
+    state it evolved, so a later call on the same state repeats only the
+    phase work.  ``times`` must be a non-empty 1-D array of finite values;
+    the plan rejects anything else before any phase is computed.  The frame
+    phases of U(t) and the eigenphases of the plan come from one
+    exponential.  Every row must have unit norm within 1e-12, as a
+    StateVector must, or InvalidInputError is raised.
     """
-    times, amplitudes, route = _framed_rows(system, psi0, times, method, tol)
+    times, amplitudes, route = _framed_rows(system, psi0, times, method, tol, _propagator._as_times)
     times.setflags(write=False)
     return Trajectory(times, amplitudes, route)
 
@@ -517,18 +551,29 @@ def full_solution(
 
     Same conditions, errors and ``method``/``tol`` arguments as ``trajectory``.
     The row is checked once, by trajectory's norm check, which is
-    StateVector's.
+    StateVector's.  A finite Python float ``t`` skips the sequence checks of
+    ``trajectory``'s times; any other value gets them.
     """
-    _, amplitudes, _ = _framed_rows(system, psi0, [t], method, tol)
+    _, amplitudes, _ = _framed_rows(system, psi0, t, method, tol, _single_time)
     return StateVector._of_checked_row(amplitudes[0])
 
 
-def _framed_rows(system, psi0, times, method, tol) -> tuple[np.ndarray, np.ndarray, Method]:
+def _single_time(t) -> np.ndarray:
+    # the one scalar time check; ints keep _as_times's rule, under which numpy
+    # refuses ints past 64 bits
+    if type(t) is float and _finite_real(t):
+        return np.array([t])
+    return _propagator._as_times([t])
+
+
+def _framed_rows(system, psi0, times, method, tol, as_times) -> tuple[np.ndarray, np.ndarray, Method]:
     """Times, amplitudes and route behind ``trajectory`` and ``full_solution``.
 
-    The times come back as a fresh float array, the amplitudes
-    U(t) exp(-itQ) psi0 as a read-only (T, n) array whose every row passed
-    the norm check.
+    ``as_times`` turns ``times`` into a checked float array; it runs after
+    the conditions, the state and the plan are checked, so an input fails
+    with the same error whichever entry point took it.  The times come back as a fresh float array, the
+    amplitudes U(t) exp(-itQ) psi0 as a read-only (T, n) array whose every
+    row passed the norm check.
     """
     if tol is None:
         system._conditions  # the cached verdict; raises ConditionError unless both hold
@@ -536,19 +581,21 @@ def _framed_rows(system, psi0, times, method, tol) -> tuple[np.ndarray, np.ndarr
         _require_conditions(system, tol)
     if system._phased:
         raise InvalidInputError("closed-form evolution requires zero drive phases")
+    if not isinstance(psi0, StateVector):
+        raise InvalidInputError(f"initial state must be a StateVector, got {type(psi0).__name__}")
     if psi0.n != system.n:
         raise InvalidInputError("initial state dimension does not match the system")
     # spectral_plan is looked up on its module per call, so a patch there applies
-    key = None if method is None else _propagator.Method(method)
+    key = None if method is None else _propagator._method(method)
     plan = system._plans.get(key)
     if plan is None:
         plan = system._plans[key] = _propagator.spectral_plan(system._q, key)
-    times = _propagator._as_times(times)
+    times = as_times(times)
     amplitudes = plan._evolve_in_frame(psi0.amplitudes, times, system._frame_frequencies)
     defect = np.abs(_row_norms(amplitudes) - 1.0)
-    bad = ~(defect <= _NORM_ATOL)  # NaN counts as bad
-    if bad.any():
-        k = int(np.argmax(bad))
+    ok = defect <= _NORM_ATOL  # NaN is not ok
+    if np.count_nonzero(ok) != ok.size:
+        k = int(np.argmin(ok))
         raise InvalidInputError(
             f"state norm at t = {float(times[k])!r} deviates from 1 by {float(defect[k]):.3e}, "
             f"more than {_NORM_ATOL} ({plan.method.value} route)"

@@ -13,7 +13,9 @@ a route only decides how lambda and P are found:
 
 A scaling-and-squaring reference exponential stays independent of them.
 ``spectral_plan`` picks a route for one Q and builds lambda and P once; the
-plan then evaluates any number of times in one batched call.  ``propagator``
+plan then evaluates any number of times in one batched call, and keeps its
+last joined phase rates and P applied to its last state, so that a call on
+the same state at new times repeats only the phase work.  ``propagator``
 and the per-route functions are its single-time case, exposed so the routes
 can be cross-checked against each other.
 """
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidInputError
-from .model import CouplingMatrix
+from .model import _BOOL_TYPES, CouplingMatrix, _finite_real
 from .roots import DEGENERACY_GAP_RTOL, Spectrum, closed_form_spectrum
 
 _EQUAL_COUPLING_RTOL = 1e-12
@@ -50,8 +52,16 @@ class Method(str, Enum):
 
 
 _LAGRANGE = (Method.LAGRANGE3, Method.LAGRANGE4)
-_REAL_TYPES = (int, float, np.integer, np.floating)
-_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _method(method) -> Method | None:
+    # a requested method: None (automatic), a Method or its value
+    if method is None or isinstance(method, Method):
+        return method
+    try:
+        return Method(method)
+    except ValueError:
+        raise InvalidInputError(f"unknown propagator method {method!r}") from None
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,10 @@ def _as_times(times) -> np.ndarray:
     # the one check on sample times, made before any phase is computed; a
     # float conversion would take "1.5" and True, so the type is checked
     # first, item by item in a list or tuple: numpy makes [0.0, True] floats
-    t = np.array(times)  # a fresh copy, so the caller's array is never exposed
+    try:
+        t = np.array(times)  # a fresh copy, so the caller's array is never exposed
+    except ValueError:  # ragged, as [0.0, [1.0]]
+        raise InvalidInputError("times must be a non-empty 1-D array") from None
     if t.dtype.kind not in "iuf" or (
         isinstance(times, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, times))
     ):
@@ -102,7 +115,7 @@ def _as_times(times) -> np.ndarray:
     if t.ndim != 1 or t.size == 0:
         raise InvalidInputError("times must be a non-empty 1-D array")
     t = t.astype(float, copy=False)
-    if not np.isfinite(t).all():
+    if np.count_nonzero(np.isfinite(t)) != t.size:
         raise InvalidInputError("sample times must be finite")
     return t
 
@@ -115,6 +128,12 @@ class SpectralPlan:
     Sylvester's form exp(-itQ) = sum_j e^{-it lambda_j} P_j: ``eigenvalues``
     lambda, shape (m,), and real symmetric ``projectors`` P, shape (m, n, n),
     that sum to I.  ``q`` holds the entries of Q for the reference exponential.
+
+    A plan also keeps two results of its last call, each with the bytes it
+    was computed from, so that a call with the same frame or the same state
+    at new times reuses them: the joined phase rates -i (lambda, frame) and
+    the projections P_j @ block.  Both are derived from the call's content
+    alone, so a hit gives the same bits as a miss.
     """
 
     method: Method
@@ -122,6 +141,44 @@ class SpectralPlan:
     eigenvalues: np.ndarray | None = None
     projectors: np.ndarray | None = None
     q: np.ndarray | None = None
+    # (frame bytes or None, rates) and (block bytes, projections), each one
+    # tuple so a reader never pairs one call's key with another's value
+    _rates: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _projected: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _joined_rates(self, frame) -> np.ndarray | None:
+        """-i (lambda, frame) as one complex array, None when there is neither.
+
+        The real parts are -0.0, so t * rate, with t cast to complex, has the
+        imaginary part -(t * rate) and a zero real part: the phases are those
+        of exp(-1j * (t * (lambda, frame))) bit for bit, zero signs included.
+        """
+        key = None if frame is None else frame.tobytes()
+        memo = self._rates
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        real = [a for a in (self.eigenvalues, frame) if a is not None]
+        rates = None
+        if real:
+            rates = -1j * np.concatenate(real)  # imaginary parts exactly -(lambda, frame)
+            rates.real = -0.0
+            rates.setflags(write=False)
+        object.__setattr__(self, "_rates", (key, rates))
+        return rates
+
+    def _projections(self, block: np.ndarray) -> np.ndarray:
+        """P_j @ block for every j as an (m, n * k) complex array."""
+        # on the interleaved real and imaginary parts, so numpy never makes a
+        # complex copy of the (m, n, n) projector stack
+        parts = np.ascontiguousarray(block, dtype=complex).view(float)
+        key = parts.tobytes()
+        memo = self._projected
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        projected = (self.projectors @ parts).view(complex).reshape(-1, block.size)
+        projected.setflags(write=False)
+        object.__setattr__(self, "_projected", (key, projected))
+        return projected
 
     def _apply(self, block: np.ndarray, t: np.ndarray, frame=None) -> np.ndarray:
         """exp(-itQ) @ block at every time, shape (T, n, k); t = 0 gives block exactly.
@@ -131,24 +188,20 @@ class SpectralPlan:
         exponential.
         """
         n, k = block.shape
-        rates = self.eigenvalues
-        if frame is not None:
-            rates = frame if rates is None else np.concatenate((rates, frame))
-        phases = None if rates is None else np.exp(-1j * (t[:, None] * rates))
+        rates = self._joined_rates(frame)
+        phases = None if rates is None else np.exp(t[:, None] * rates)
         if self.method is Method.REFERENCE:
             from .oracle import reference_expm  # deferred: oracle imports model types
 
             out = np.array([reference_expm(-1j * x * self.q) @ block for x in t])
         else:
-            # P_j @ block on the interleaved real and imaginary parts, so numpy
-            # never makes a complex copy of the (m, n, n) projector stack
-            parts = np.ascontiguousarray(block, dtype=complex).view(float)
-            projected = (self.projectors @ parts).view(complex).reshape(-1, n * k)
-            out = (phases[:, : len(self.eigenvalues)] @ projected).reshape(t.size, n, k)
-        if not t.all():
+            m = len(self.eigenvalues)
+            out = (phases[:, :m] @ self._projections(block)).reshape(t.size, n, k)
+        if np.count_nonzero(t) != t.size:
             out[t == 0.0] = block
         if frame is not None:
-            out = phases[:, -n:, None] * out
+            # phases first: complex products round in operand order (FMA)
+            np.multiply(phases[:, -n:, None], out, out=out)
         return out
 
     def propagators(self, times) -> np.ndarray:
@@ -167,7 +220,9 @@ class SpectralPlan:
         """diag(e^{-i frame t}) exp(-itQ) psi at every time, shape (T, n).
 
         ``trajectory``'s one call: ``psi`` is a complex (n,) array, ``times``
-        came from ``_as_times`` and ``frame`` holds the (n,) frame rates.
+        came from ``_as_times`` and ``frame`` holds the (n,) frame rates.  A
+        later call with the same ``frame`` and ``psi`` costs one exponential,
+        one (T, m) @ (m, n) product and the frame product.
         """
         return self._apply(psi[:, None], times, frame)[:, :, 0]
 
@@ -186,20 +241,18 @@ def _lagrange_basis(spectrum: Spectrum) -> np.ndarray:
             f"{DEGENERACY_GAP_RTOL:.0e} of the spectral radius; "
             "use a diagonalization method"
         )
-    lam = [float(x) for x in spectrum.eigenvalues]
+    lam = spectrum.eigenvalues.tolist()
     rows = []
     for j, lam_j in enumerate(lam):
         coeffs = [1.0]
         denom = 1.0
-        for k, lam_k in enumerate(lam):
-            if k == j:
-                continue
+        for lam_k in lam[:j] + lam[j + 1 :]:
             # multiply by (lambda - lambda_k)
-            coeffs = (
-                [-lam_k * coeffs[0]]
-                + [coeffs[i - 1] - lam_k * coeffs[i] for i in range(1, len(coeffs))]
-                + [coeffs[-1]]
-            )
+            prev = coeffs
+            coeffs = [-lam_k * prev[0]]
+            for i in range(1, len(prev)):
+                coeffs.append(prev[i - 1] - lam_k * prev[i])
+            coeffs.append(prev[-1])
             denom *= lam_j - lam_k
         rows.append([c / denom for c in coeffs])
     return np.array(rows)
@@ -218,7 +271,7 @@ def _at(plan: SpectralPlan, t: float) -> Propagator:
 
 def _coupling(g) -> float:
     # the single-time wrappers' g; dispatch reads g from a checked Q instead
-    if type(g) in _BOOL_TYPES or not isinstance(g, _REAL_TYPES) or not math.isfinite(g):
+    if not _finite_real(g):
         raise InvalidInputError(f"coupling must be a finite int or float, got {g!r}")
     return g
 
@@ -380,9 +433,7 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
     larger n always diagonalizes.  Forcing a method applies it as-is and lets
     its own preconditions raise.
     """
-    if method is not None and not isinstance(method, Method):
-        method = Method(method)
-
+    method = _method(method)
     spectrum = None
     if method is None:
         if q.n == 2:
@@ -414,21 +465,21 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
         if spectrum is None:
             spectrum = closed_form_spectrum(q)
         # P_j = l_j(Q): the Lagrange basis applied to I, Q, ..., Q^{n-1}
-        powers = [np.eye(q.n)]
-        for _ in range(1, q.n):
-            powers.append(q.entries @ powers[-1])
-        flat = _lagrange_basis(spectrum) @ np.reshape(powers, (q.n, -1))
-        return SpectralPlan(method, q.n, spectrum.eigenvalues, flat.reshape(-1, q.n, q.n))
+        n = q.n
+        powers = np.empty((n, n, n))
+        powers[0] = np.eye(n)
+        for k in range(1, n):
+            np.matmul(q.entries, powers[k - 1], out=powers[k])
+        flat = _lagrange_basis(spectrum) @ powers.reshape(n, -1)
+        return SpectralPlan(method, n, spectrum.eigenvalues, flat.reshape(-1, n, n))
+    if method is Method.REFERENCE:
+        return SpectralPlan(method, q.n, q=q.entries)
     if method is Method.CLOSED_EIGEN3:
         if q.n != 3:
             raise InvalidInputError(f"closed_eigen3 needs n = 3, got n = {q.n}")
         decomp = eigenvectors_three_level(q, closed_form_spectrum(q))
-    elif method is Method.JACOBI:
-        decomp = jacobi_eigendecompose(q)
-    elif method is Method.REFERENCE:
-        return SpectralPlan(method, q.n, q=q.entries)
     else:
-        raise InvalidInputError(f"unknown propagator method {method!r}")
+        decomp = jacobi_eigendecompose(q)
     return _eigen_plan(method, decomp)
 
 

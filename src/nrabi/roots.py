@@ -67,19 +67,22 @@ class Spectrum:
 
     @cached_property
     def spectral_radius(self) -> float:
-        # computed on the first read and kept: the eigenvalues are read-only
-        return float(np.max(np.abs(self.eigenvalues)))
+        # computed on the first read and kept: the eigenvalues are read-only;
+        # the largest |x| over Python floats is the float np.max(np.abs(...)) gives
+        return max(map(abs, self.eigenvalues.tolist()))
 
 
+# Python floats (ndarray.item), not numpy scalars: the same IEEE operations
+# without numpy's per-operation dispatch
 def _three_couplings(q: CouplingMatrix) -> tuple[float, float, float]:
     a = q.entries
-    return a[0, 1], a[1, 2], a[0, 2]
+    return a.item(0, 1), a.item(1, 2), a.item(0, 2)
 
 
 def _six_couplings(q: CouplingMatrix) -> tuple[float, ...]:
     a = q.entries
     # (g1..g6) = adjacent pairs first, then the skips: 01, 12, 23, 02, 13, 03
-    return a[0, 1], a[1, 2], a[2, 3], a[0, 2], a[1, 3], a[0, 3]
+    return a.item(0, 1), a.item(1, 2), a.item(2, 3), a.item(0, 2), a.item(1, 3), a.item(0, 3)
 
 
 def char_poly_3(q: CouplingMatrix) -> CubicCoeffs:
@@ -164,13 +167,12 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
     the propagator dispatch to diagonalization.
     """
     degree = len(poly) - 1
-    derivs = [poly]
-    for _ in range(degree):
-        derivs.append(_derivative(derivs[-1]))
-    lam = sorted((_newton(poly, derivs[1], x, 1) for x in roots), reverse=True)
-    radius = max(abs(x) for x in lam)
+    slope = _derivative(poly)
+    lam = sorted((_newton(poly, slope, x, 1) for x in roots), reverse=True)
+    radius = max(map(abs, lam))
+    bound = _RESIDUAL_RTOL * max(1.0, radius ** degree)
     for x in lam:
-        if not abs(_horner(poly, x)) <= _RESIDUAL_RTOL * max(1.0, radius ** degree):
+        if not abs(_horner(poly, x)) <= bound:
             raise InvalidInputError(
                 f"root {x!r} fails the characteristic polynomial residual bound; "
                 "coefficients are not from a real symmetric matrix"
@@ -181,10 +183,13 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
             size = k - start
             if size > 1:
                 mean = sum(lam[start:k]) / size
-                lam[start:k] = [_newton(derivs[size - 1], derivs[size], mean, 3)] * size
+                f = slope
+                for _ in range(size - 2):
+                    f = _derivative(f)  # the (size - 1)-th derivative, built only here
+                lam[start:k] = [_newton(f, _derivative(f), mean, 3)] * size
             start = k
     gap = min(lam[k] - lam[k + 1] for k in range(degree - 1))
-    return Spectrum(eigenvalues=np.array(lam), degeneracy_gap=gap, n=degree)
+    return Spectrum(eigenvalues=lam, degeneracy_gap=gap, n=degree)
 
 
 def _viete(c1: float, c0: float) -> list[float]:

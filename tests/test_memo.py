@@ -8,6 +8,7 @@ must raise again on every call.
 """
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -211,3 +212,60 @@ def test_single_time_calls_equal_one_batched_trajectory(case):
     # T = 1 and T > 1 products may round differently in the last bits
     assert np.max(np.abs(rows - batched)) <= 1e-12
     assert np.array_equal(trajectory(system, psi0, times, method).amplitudes, batched)
+
+
+# (n, equal couplings): every route, automatic or forced, at n = 2..5; a forced
+# route that does not apply must raise the same error on both entry points
+SHAPES = [(n, equal) for n in (2, 3, 4, 5) for equal in (False, True)]
+SINGLE_TIMES = [0.0, 1.7, -2.3, -0.0, 6.1, 0.0, -9.5]
+
+
+@pytest.mark.parametrize("method", [None, *Method])
+@pytest.mark.parametrize("n, equal", SHAPES)
+def test_single_time_equals_the_trajectory_row_bit_for_bit(n, equal, method):
+    energies, couplings = system_args(n, equal, seed=n)
+    memoized = LevelSystem.resonant(energies, couplings)
+    for psi0 in (state(n, 1), state(n, 2), state(n, 1)):
+        for t in SINGLE_TIMES:
+            fresh = LevelSystem.resonant(energies, couplings)
+            try:
+                row = trajectory(fresh, psi0, [t], method).amplitudes[0]
+            except (InvalidInputError, DegenerateSpectrumError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    full_solution(memoized, psi0, t, method)
+                continue
+            assert full_solution(memoized, psi0, t, method).amplitudes.tobytes() == row.tobytes()
+
+
+class CountingProjectors(np.ndarray):
+    """A projector stack that counts the products ``P @ block`` taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingProjectors.products += 1
+        return np.asarray(self) @ other
+
+
+def test_one_projection_per_state_in_a_run_of_calls(monkeypatch):
+    energies, couplings = system_args(4)
+    system = LevelSystem.resonant(energies, couplings)
+    psi_a, psi_b = state(4, 1), state(4, 2)
+    copy_a = StateVector(np.array(psi_a.amplitudes))
+    assert copy_a is not psi_a and copy_a.amplitudes is not psi_a.amplitudes
+    full_solution(system, psi_a, 1.0)  # builds the plan
+    plan = system._plans[None]
+    monkeypatch.setattr(CountingProjectors, "products", 0)
+    object.__setattr__(plan, "projectors", plan.projectors.view(CountingProjectors))
+    runs = [(psi_a, 0), (copy_a, 0), (psi_b, 1), (psi_a, 2), (psi_b, 3), (copy_a, 4)]
+    for psi0, projections in runs:
+        for t in TIMES:
+            got = full_solution(system, psi0, t).amplitudes
+            expected = full_solution(LevelSystem.resonant(energies, couplings), psi0, t).amplitudes
+            assert got.tobytes() == expected.tobytes()
+        # the same state at many times at once reuses the projection too
+        assert np.array_equal(
+            trajectory(system, psi0, TIMES).amplitudes,
+            trajectory(LevelSystem.resonant(energies, couplings), psi0, TIMES).amplitudes,
+        )
+        assert CountingProjectors.products == projections

@@ -518,8 +518,9 @@ class TestTrajectory:
         assert times.flags.writeable and traj.times is not times
         for same in (np.arange(3), [0, 1, 2.0], (0, 1, 2)):
             assert np.array_equal(trajectory(THREE_LEVEL, psi0, same).amplitudes, traj.amplitudes)
-        single = full_solution(THREE_LEVEL, psi0, 2).amplitudes
-        assert np.array_equal(single, full_solution(THREE_LEVEL, psi0, 2.0).amplitudes)
+        single = full_solution(THREE_LEVEL, psi0, 2.0).amplitudes
+        for t in (2, np.int64(2), np.float32(2.0), np.float64(2.0), np.array(2.0)):
+            assert full_solution(THREE_LEVEL, psi0, t).amplitudes.tobytes() == single.tobytes()
 
     @pytest.mark.xfail(
         strict=True,
@@ -587,6 +588,83 @@ def test_single_time_must_be_an_int_or_float(t):
         full_solution(THREE_LEVEL, StateVector.basis(3, 0), t)
     with pytest.raises(InvalidInputError, match="ints or floats"):
         propagator(build_q(THREE_LEVEL), t)
+
+
+RAGGED_TIMES = [[0.0, [1.0]], [[0.0], 1.0], (0.0, [1.0, 2.0])]
+
+
+@pytest.mark.parametrize("times", RAGGED_TIMES)
+def test_ragged_times_are_invalid_input(times):
+    plan = spectral_plan(build_q(THREE_LEVEL))
+    psi0 = StateVector.basis(3, 0)
+    calls = [
+        lambda: trajectory(THREE_LEVEL, psi0, times),
+        lambda: plan.evolve(np.eye(3)[0], times),
+        lambda: plan.propagators(times),
+        lambda: full_solution(THREE_LEVEL, psi0, times),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="non-empty 1-D array"):
+            call()
+
+
+@pytest.mark.parametrize("t", [10**400, -(10**400), 2**64], ids=["1e400", "-1e400", "2**64"])
+def test_single_time_int_beyond_numpy_range_is_invalid_input(t):
+    # numpy keeps such an int as an object, as it does in a list of times
+    with pytest.raises(InvalidInputError, match="ints or floats"):
+        full_solution(THREE_LEVEL, StateVector.basis(3, 0), t)
+    with pytest.raises(InvalidInputError, match="ints or floats"):
+        trajectory(THREE_LEVEL, StateVector.basis(3, 0), [t])
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [float("inf"), float("-inf"), float("nan"), "1e-9", b"1", True, np.bool_(True), [1e-9], 10**400],
+    ids=["inf", "-inf", "nan", "str", "bytes", "bool", "numpy_bool", "list", "int_past_float"],
+)
+def test_tolerance_must_be_a_finite_int_or_float(tol):
+    system = detuned_three_level()  # consistency residual 0.5
+    psi0 = StateVector.basis(3, 0)
+    calls = [
+        lambda: check_resonance(system, tol),
+        lambda: check_consistency(system, tol),
+        lambda: trajectory(system, psi0, [1.0], tol=tol),
+        lambda: full_solution(system, psi0, 1.0, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="tolerance must be a finite int or float"):
+            call()
+
+
+def test_tolerance_takes_numpy_and_int_values():
+    system = detuned_three_level()  # consistency residual 0.5
+    for tol in (1, np.int64(1), np.float64(1.0)):
+        report = check_consistency(system, tol)
+        assert report.satisfied and report.tolerance == 1.0
+        trajectory(system, StateVector.basis(3, 0), [1.0], tol=tol)
+
+
+@pytest.mark.parametrize("method", ["bogus", "", "Jacobi", 3])
+def test_unknown_method_is_invalid_input(method):
+    q = build_q(THREE_LEVEL)
+    psi0 = StateVector.basis(3, 0)
+    calls = [
+        lambda: full_solution(THREE_LEVEL, psi0, 1.0, method),
+        lambda: trajectory(THREE_LEVEL, psi0, [1.0], method),
+        lambda: spectral_plan(q, method),
+        lambda: propagator(q, 1.0, method),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="unknown propagator method"):
+            call()
+
+
+@pytest.mark.parametrize("psi0", [np.array([1.0, 0.0, 0.0], dtype=complex), [1.0, 0.0, 0.0], None])
+def test_initial_state_must_be_a_state_vector(psi0):
+    with pytest.raises(InvalidInputError, match="StateVector"):
+        trajectory(THREE_LEVEL, psi0, [1.0])
+    with pytest.raises(InvalidInputError, match="StateVector"):
+        full_solution(THREE_LEVEL, psi0, 1.0)
 
 
 def test_state_vector_rejects_nan():

@@ -331,10 +331,13 @@ class TestPropagatorFromEigen:
         lambda: propagator_two_level(float("inf"), 1.0),
         lambda: propagator_two_level(True, 1.0),
         lambda: propagator_two_level(0.5, float("nan")),
+        lambda: propagator_two_level(10**400, 1.0),
+        lambda: propagator_two_level(-(10**400), 1.0),
         lambda: propagator_equal_coupling(3, float("nan"), 1.0),
         lambda: propagator_equal_coupling(3, float("-inf"), 1.0),
         lambda: propagator_equal_coupling(2.5, 1.0, 1.0),
         lambda: propagator_equal_coupling(True, 1.0, 1.0),
+        lambda: propagator_equal_coupling(3, 10**400, 1.0),
         lambda: lagrange_coeffs(spectrum_of([1.7, 0.4, -2.1]), float("nan")),
         lambda: lagrange_coeffs(spectrum_of([1.7, 0.4, -2.1]), "1.0"),
         lambda: propagator_from_eigen(
@@ -349,10 +352,13 @@ class TestPropagatorFromEigen:
         "two_level_inf_g",
         "two_level_bool_g",
         "two_level_nan_t",
+        "two_level_int_past_float_g",
+        "two_level_negative_int_past_float_g",
         "equal_coupling_nan_g",
         "equal_coupling_inf_g",
         "equal_coupling_fractional_n",
         "equal_coupling_bool_n",
+        "equal_coupling_int_past_float_g",
         "lagrange_coeffs_nan_t",
         "lagrange_coeffs_str_t",
         "from_eigen_lagrange3_label",
