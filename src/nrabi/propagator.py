@@ -6,8 +6,8 @@ a route only decides how lambda and P are found:
 
 * two-level (n = 2) and rank-one equal coupling (any n): lambda =
   ((n-1) g, -g) and P = (J/n, I - J/n), J the all-ones matrix,
-* Cayley-Hamilton / Lagrange interpolation (n = 3, 4, non-degenerate
-  spectrum): P_j = l_j(Q), a polynomial in Q, so it never diagonalizes,
+* Cayley-Hamilton / Lagrange (n = 3, 4, non-degenerate spectrum): P_j = l_j(Q)
+  = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k), no diagonalization,
 * diagonalization by the closed-form 3x3 eigenvectors (each read off the
   adjugate adj(lambda I - Q)) or LAPACK ``eigh`` (any n): P_j = v_j v_j^T.
 
@@ -111,7 +111,9 @@ def _as_times(times) -> np.ndarray:
     if t.dtype.kind not in "iuf" or (
         isinstance(times, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, times))
     ):
-        raise InvalidInputError("sample times must be ints or floats, not booleans or strings")
+        # numpy holds an int outside the 64-bit range, like any non-number, as an object
+        cause = "ints outside the 64-bit range" if t.dtype.kind == "O" else "booleans, strings"
+        raise InvalidInputError(f"sample times must be ints or floats, not {cause} or other objects")
     if t.ndim != 1 or t.size == 0:
         raise InvalidInputError("times must be a non-empty 1-D array")
     t = t.astype(float, copy=False)
@@ -227,35 +229,27 @@ class SpectralPlan:
         return self._apply(psi[:, None], times, frame)[:, :, 0]
 
 
-def _lagrange_basis(spectrum: Spectrum) -> np.ndarray:
-    """Row j: ascending monomial coefficients of the Lagrange basis polynomial l_j.
+def _separated(spectrum: Spectrum) -> bool:
+    # every eigenvalue gap above DEGENERACY_GAP_RTOL of the spectral radius
+    return spectrum.degeneracy_gap > DEGENERACY_GAP_RTOL * spectrum.spectral_radius
 
-    l_j(lambda) = prod_{k != j} (lambda - lambda_k) / (lambda_j - lambda_k), so
-    the interpolation coefficients of e^{-it lambda} are e^{-it lambda} @ B.  The
-    denominators contain every eigenvalue gap, so a near-degenerate spectrum
-    is rejected.
-    """
-    if spectrum.degeneracy_gap <= DEGENERACY_GAP_RTOL * spectrum.spectral_radius:
+
+def _lagrange_nodes(spectrum: Spectrum) -> np.ndarray:
+    # the eigenvalues as interpolation nodes, whose every gap is a divisor
+    if not _separated(spectrum):
         raise DegenerateSpectrumError(
             f"eigenvalue gap {spectrum.degeneracy_gap:.3e} is below "
-            f"{DEGENERACY_GAP_RTOL:.0e} of the spectral radius; "
-            "use a diagonalization method"
+            f"{DEGENERACY_GAP_RTOL:.0e} of the spectral radius; use a diagonalization method"
         )
-    lam = spectrum.eigenvalues.tolist()
-    rows = []
-    for j, lam_j in enumerate(lam):
-        coeffs = [1.0]
-        denom = 1.0
-        for lam_k in lam[:j] + lam[j + 1 :]:
-            # multiply by (lambda - lambda_k)
-            prev = coeffs
-            coeffs = [-lam_k * prev[0]]
-            for i in range(1, len(prev)):
-                coeffs.append(prev[i - 1] - lam_k * prev[i])
-            coeffs.append(prev[-1])
-            denom *= lam_j - lam_k
-        rows.append([c / denom for c in coeffs])
-    return np.array(rows)
+    return spectrum.eigenvalues
+
+
+@functools.cache
+def _others(m: int) -> np.ndarray:
+    # row j: every index in range(m) but j, built once per m and shared read-only
+    others = np.array([[k for k in range(m) if k != j] for j in range(m)])
+    others.setflags(write=False)
+    return others
 
 
 def _rank_one_plan(method: Method, n: int, g: float) -> SpectralPlan:
@@ -273,7 +267,7 @@ def _coupling(g) -> float:
     # the single-time wrappers' g; dispatch reads g from a checked Q instead
     if not _finite_real(g):
         raise InvalidInputError(f"coupling must be a finite int or float, got {g!r}")
-    return g
+    return float(g)  # an int past 64 bits would make numpy build an object array
 
 
 def propagator_two_level(g: float, t: float) -> Propagator:
@@ -296,21 +290,22 @@ def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
     """Polynomial coefficients interpolating e^{-it lambda} on the spectrum.
 
     f is the coefficient vector of sum_j e^{-it lambda_j} l_j(lambda) with
-    l_j the Lagrange basis polynomials, i.e. the solution of the Vandermonde
+    l_j the Lagrange basis polynomials: LAPACK's solution of the Vandermonde
     system sum_k f_k lambda_j^k = e^{-it lambda_j}.  A near-degenerate
     spectrum is rejected, and so is a t that is not a finite int or float.
     """
     _as_times([t])
-    f = np.exp(-1j * t * spectrum.eigenvalues) @ _lagrange_basis(spectrum)
+    lam = _lagrange_nodes(spectrum)
+    f = np.linalg.solve(np.vander(lam, increasing=True), np.exp(-1j * t * lam))
     return LagrangeCoeffs(f=f, t=t, spectrum=spectrum)
 
 
 def propagator_lagrange(q: CouplingMatrix, t: float) -> Propagator:
-    """exp(-itQ) = f_0 I + f_1 Q + ... + f_{n-1} Q^{n-1} for n = 3, 4.
+    """exp(-itQ) = sum_j e^{-it lambda_j} l_j(Q), the interpolation polynomial, for n = 3, 4.
 
-    The eigenvalues come from the radical solvers; the Q powers are formed by
-    repeated symmetric multiplication so this path never diagonalizes.  Any
-    other n raises InvalidInputError.
+    The eigenvalues come from the radical solvers; each l_j(Q) is the product
+    of the shifted matrices Q - lambda_k I, k != j, over its eigenvalue gaps,
+    so this path never diagonalizes.  Any other n raises InvalidInputError.
     """
     return propagator(q, t, Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4)
 
@@ -442,7 +437,7 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
             method = Method.EQUAL_COUPLING
         elif q.n in (3, 4):
             spectrum = closed_form_spectrum(q)
-            if spectrum.degeneracy_gap > DEGENERACY_GAP_RTOL * spectrum.spectral_radius:
+            if _separated(spectrum):
                 method = Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4
             else:
                 method = Method.JACOBI
@@ -464,14 +459,15 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
             raise InvalidInputError(f"{method.value} needs n = {expected}, got n = {q.n}")
         if spectrum is None:
             spectrum = closed_form_spectrum(q)
-        # P_j = l_j(Q): the Lagrange basis applied to I, Q, ..., Q^{n-1}
-        n = q.n
-        powers = np.empty((n, n, n))
-        powers[0] = np.eye(n)
-        for k in range(1, n):
-            np.matmul(q.entries, powers[k - 1], out=powers[k])
-        flat = _lagrange_basis(spectrum) @ powers.reshape(n, -1)
-        return SpectralPlan(method, n, spectrum.eigenvalues, flat.reshape(-1, n, n))
+        # P_j = l_j(Q) = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k): one
+        # batched product per factor over the shifted stack, then one division
+        lam = _lagrange_nodes(spectrum)
+        others = _others(len(lam))
+        factors = (q.entries - lam[:, None, None] * np.eye(q.n))[others]  # (m, m - 1, n, n)
+        lams = lam.tolist()
+        gaps = [math.prod(lams[j] - lams[k] for k in row) for j, row in enumerate(others.tolist())]
+        products = functools.reduce(np.matmul, factors.swapaxes(0, 1))
+        return SpectralPlan(method, q.n, lam, products / np.array(gaps)[:, None, None])
     if method is Method.REFERENCE:
         return SpectralPlan(method, q.n, q=q.entries)
     if method is Method.CLOSED_EIGEN3:

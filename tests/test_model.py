@@ -522,15 +522,9 @@ class TestTrajectory:
         for t in (2, np.int64(2), np.float32(2.0), np.float64(2.0), np.array(2.0)):
             assert full_solution(THREE_LEVEL, psi0, t).amplitudes.tobytes() == single.tobytes()
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InvalidInputError,
-        reason="ROADMAP item 2: the monomial Lagrange basis misses the 1e-12 norm on "
-        "lagrange4 at a relative eigenvalue gap of 9.6e-4",
-    )
     def test_random_four_level_on_auto_dispatch(self):
-        # a random n = 4 draw of the closed_form benchmark (seed 55); it raises
-        # at t = 0.01 with a defect of about 1.07e-12
+        # a random n = 4 draw of the closed_form benchmark (seed 55), at a
+        # relative eigenvalue gap of 9.6e-4
         traj = trajectory(SEED55_FOUR_LEVEL, StateVector.basis(4, 2), np.linspace(0.0, 10.0, 1001))
         assert traj.method is Method.LAGRANGE4
 
@@ -615,6 +609,19 @@ def test_single_time_int_beyond_numpy_range_is_invalid_input(t):
         full_solution(THREE_LEVEL, StateVector.basis(3, 0), t)
     with pytest.raises(InvalidInputError, match="ints or floats"):
         trajectory(THREE_LEVEL, StateVector.basis(3, 0), [t])
+
+
+def test_int_time_past_64_bits_names_its_cause():
+    plan = spectral_plan(build_q(THREE_LEVEL))
+    psi0 = StateVector.basis(3, 0)
+    calls = [
+        lambda: trajectory(THREE_LEVEL, psi0, [2**64]),
+        lambda: full_solution(THREE_LEVEL, psi0, 2**64),
+        lambda: plan.evolve(np.eye(3)[0], [0.0, 2**64]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="not ints outside the 64-bit range"):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,18 @@ def test_single_time_wrappers_fail_loudly(call):
         call()
 
 
+def test_int_coupling_past_64_bits_is_its_float():
+    # numpy would hold 2**70 in an object array, which its exp cannot take
+    g = 2**70
+    pairs = [
+        (propagator_two_level(g, 1.0), propagator_two_level(float(g), 1.0)),
+        (propagator_equal_coupling(3, g, 1.0), propagator_equal_coupling(3, float(g), 1.0)),
+    ]
+    for got, expected in pairs:
+        assert got.method is expected.method
+        assert got.matrix.tobytes() == expected.matrix.tobytes()
+
+
 def test_from_eigen_accepts_eigen_route_names():
     decomp = jacobi_eigendecompose(coupling_matrix([1.0, 2.0, 3.0], 3))
     assert propagator_from_eigen(decomp, 1.0, "closed_eigen3").method is Method.CLOSED_EIGEN3
