@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +25,8 @@ from .errors import (
 from .model import (
     LevelSystem,
     StateVector,
+    _count,
+    _real,
     build_q,
     check_consistency,
     check_resonance,
@@ -66,27 +67,22 @@ class Scenario:
         return StateVector.normalized(amplitudes)
 
 
-# concrete types, not numbers.Real: an ABC check costs as much as the parse
-_REAL_TYPES = (int, float, np.integer, np.floating)
-
-
 def _number(value, what: str) -> float:
-    # JSON numbers only: float() would also take "1e0", "nan" and true
-    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
-        raise ScenarioError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    # the real rule of model, worded for a JSON field: float() would also take "1e0" and true
+    try:
+        return _real(value, what)
+    except InvalidInputError:
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
 
 
-def _integer(value, what: str) -> int:
-    # a JSON number with no fraction (3.0 counts, as in JSON); a fraction
-    # would silently truncate, and an int past float range must skip float()
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, _REAL_TYPES)
-        or not (isinstance(value, (int, np.integer)) or float(value).is_integer())
-    ):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _integer(value, what: str, minimum: int) -> int:
+    # the count rule of model; JSON has one number type, so 3.0 counts
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    try:
+        return _count(value, what, minimum)
+    except InvalidInputError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -100,7 +96,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         freqs = {}
         phases = {}
         for k, item in enumerate(entries):
-            pair = tuple(_integer(item[key], f"couplings[{k}].{key}") for key in "ij")
+            pair = tuple(_integer(item[key], f"couplings[{k}].{key}", 0) for key in "ij")
             if pair in couplings:
                 raise ScenarioError(f"couplings[{k}] repeats the pair {pair}")
             couplings[pair] = _number(item["g"], f"couplings[{k}].g")
@@ -110,9 +106,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         system = LevelSystem(tuple(levels), couplings, freqs, phases)
         raw_initial = data["initial"]
         if isinstance(raw_initial, (int, float)) and not isinstance(raw_initial, bool):
-            if int(raw_initial) != raw_initial or not 0 <= int(raw_initial) < system.n:
+            initial: int | tuple = _integer(raw_initial, "initial", 0)
+            if initial >= system.n:
                 raise ScenarioError(f"initial level index {raw_initial!r} out of range")
-            initial: int | tuple = int(raw_initial)
         else:
             if not isinstance(raw_initial, (list, tuple)) or not all(
                 isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw_initial
@@ -126,14 +122,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
             if len(initial) != system.n:
                 raise ScenarioError("initial amplitude list length must equal n")
-            if not all(math.isfinite(x) for pair in initial for x in pair):
-                raise ScenarioError("initial amplitudes must be finite")
         t_end = _number(data["t_end"], "t_end")
-        if not math.isfinite(t_end) or t_end < 0.0:
-            raise ScenarioError(f"t_end must be finite and non-negative, got {t_end!r}")
-        samples = _integer(data.get("samples", _DEFAULT_SAMPLES), "samples")
-        if samples < 1 or (t_end > 0.0 and samples < 2):
-            raise ScenarioError("samples must be at least 2 (1 when t_end is 0)")
+        if t_end < 0.0:
+            raise ScenarioError(f"t_end must be non-negative, got {t_end!r}")
+        # one sample only at t_end = 0
+        samples = _integer(data.get("samples", _DEFAULT_SAMPLES), "samples", 2 if t_end > 0.0 else 1)
         if samples > _MAX_SAMPLES:
             raise ScenarioError(f"samples must be at most {_MAX_SAMPLES}")
         method = data.get("method")

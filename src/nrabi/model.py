@@ -29,23 +29,36 @@ if TYPE_CHECKING:
 Pair = tuple[int, int]
 
 _NORM_ATOL = 1e-12
-_REAL_TYPES = (int, float, np.integer, np.floating)
+_INT_TYPES = (int, np.integer)
+_REAL_TYPES = (float, *_INT_TYPES, np.floating)
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
-def _finite_real(x) -> bool:
-    """Whether x is an int or float (numpy's too, not a bool) with a finite value.
+def _real(x, what: str) -> float:
+    """x as a float if it is a real, else InvalidInputError naming ``what``.
 
-    The one check behind every single-value input: couplings of the
-    single-time propagators, a single sample time and a condition tolerance.
-    An int past the float range is not finite.
+    A real is an int or a float (numpy's too, not a bool) with a finite
+    value; an int past the float range is not finite.  With ``_count``, the
+    rule for every number the package takes from outside.
     """
-    if type(x) in _BOOL_TYPES or not isinstance(x, _REAL_TYPES):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
+    if isinstance(x, _REAL_TYPES) and type(x) is not bool:  # np.bool_ is not an np.integer
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise InvalidInputError(f"{what} must be a finite int or float, got {x!r}")
+
+
+def _count(x, what: str, minimum: int) -> int:
+    """x as an int if it is a count, else InvalidInputError naming ``what``.
+
+    A count is an int (numpy's too, not a bool) at or above ``minimum``.
+    """
+    if isinstance(x, _INT_TYPES) and type(x) is not bool and x >= minimum:
+        return int(x)
+    raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {x!r}")
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -74,21 +87,23 @@ class _PairArrays(NamedTuple):
 
 
 def _canonical_pairs(values, n: int, what: str) -> dict[Pair, float]:
-    """Normalize a {(i, j): value} map to i < j keys and validate coverage."""
+    """Normalize a {(i, j): value} map to i < j keys: indices are counts, values reals."""
     out: dict[Pair, float] = {}
+    index = f"{what} key index"
     for key, value in values.items():
-        i, j = int(key[0]), int(key[1])
-        if i == j or not (0 <= i < n and 0 <= j < n):
+        if not (isinstance(key, tuple) and len(key) == 2):
             raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
-        if i > j:
-            i, j = j, i
+        i, j = sorted((_count(key[0], index, 0), _count(key[1], index, 0)))
+        if i == j or j >= n:
+            raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
         if (i, j) in out:
             raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
-        v = float(value)
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{what}[{i},{j}] is not finite")
-        out[(i, j)] = v
+        out[(i, j)] = _real(value, f"{what}[{i},{j}]")
     return out
+
+
+def _energies(values) -> tuple[float, ...]:
+    return tuple(_real(e, f"energies[{k}]") for k, e in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -115,13 +130,11 @@ class LevelSystem:
     phases: Mapping[Pair, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        energies = tuple(float(e) for e in self.energies)
+        energies = _energies(self.energies)
         object.__setattr__(self, "energies", energies)
         n = len(energies)
         if n < 2:
             raise InvalidInputError("a level system needs at least two levels")
-        if not all(np.isfinite(energies)):
-            raise InvalidInputError("energies must be finite")
         if any(energies[j] <= energies[j - 1] for j in range(1, n)):
             raise InvalidInputError("energies must be strictly increasing")
 
@@ -169,7 +182,7 @@ class LevelSystem:
         Such a system meets both the resonance and the consistency condition
         by construction.
         """
-        energies = tuple(float(e) for e in energies)
+        energies = _energies(energies)
         freqs = {
             (i, j): energies[j] - energies[i]
             for (i, j) in _level_pairs(len(energies))
@@ -323,13 +336,10 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, index: int) -> "StateVector":
-        """|index> in n levels; ``index`` is an integer (not a bool) in [0, n)."""
-        if (
-            isinstance(index, bool)
-            or not isinstance(index, (int, np.integer))
-            or not 0 <= index < n
-        ):
-            raise InvalidInputError(f"basis index must be an integer in [0, {n}), got {index!r}")
+        """|index> in n levels: n and index are counts (see ``_count``), index < n."""
+        n = _count(n, "n", 2)
+        if _count(index, "basis index", 0) >= n:
+            raise InvalidInputError(f"basis index must be below n = {n}, got {index!r}")
         a = np.zeros(n, dtype=complex)
         a[index] = 1.0
         return cls(a)
@@ -360,11 +370,10 @@ def _tolerance(system: LevelSystem, tol) -> float:
     # None means the default; otherwise a finite positive int or float
     if tol is None:
         return default_condition_tolerance(system)
-    if not _finite_real(tol):
-        raise InvalidInputError(f"tolerance must be a finite int or float, got {tol!r}")
+    tol = _real(tol, "tolerance")
     if tol <= 0.0:
         raise InvalidInputError("tolerance must be positive")
-    return float(tol)
+    return tol
 
 
 def check_resonance(system: LevelSystem, tol: float | None = None) -> ConditionReport:
@@ -561,7 +570,7 @@ def full_solution(
 def _single_time(t) -> np.ndarray:
     # the one scalar time check; ints keep _as_times's rule, under which numpy
     # refuses ints past 64 bits
-    if type(t) is float and _finite_real(t):
+    if type(t) is float and math.isfinite(t):
         return np.array([t])
     return _propagator._as_times([t])
 

@@ -11,23 +11,16 @@ requested explicitly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError, InvalidInputError
-from .model import LevelSystem, StateVector, hamiltonian_full, hamiltonian_rwa
+from .model import LevelSystem, StateVector, _count, _real, hamiltonian_full, hamiltonian_rwa
 
 _HERMITICITY_RTOL = 1e-12
 _TAYLOR_DEGREE = 12
 _MAX_EXPM_NORM = 1e6
-
-
-def _require_count(name: str, value, minimum: int) -> None:
-    # a bool is an int, a float count would reach linspace, and NaN compares false
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +36,9 @@ class IntegrationConfig:
     def __post_init__(self):
         for name in ("dt", "rel_tol", "abs_tol"):
             value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
-        _require_count("max_steps", self.max_steps, 1)
+            if _real(value, name) <= 0.0:
+                raise InvalidInputError(f"{name} must be positive, got {value!r}")
+        _count(self.max_steps, "max_steps", 1)
 
 
 @dataclass(frozen=True)
@@ -131,15 +124,16 @@ def integrate_schrodinger(
     accepted and rejected attempts and the times evaluated.
     """
     cfg = config or IntegrationConfig()
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise InvalidInputError(f"t_end must be positive and finite, got {t_end!r}")
-    _require_count("samples", samples, 2)
+    t_end = _real(t_end, "t_end")
+    if t_end <= 0.0:
+        raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
+    samples = _count(samples, "samples", 2)
     times = np.linspace(0.0, t_end, samples)
     grid = times.tolist()
 
     psi = np.array(psi0.amplitudes, dtype=complex)
     n = psi.size
-    h_t = _hamiltonians(hamiltonian, [0.0, float(t_end)], n)[0]
+    h_t = _hamiltonians(hamiltonian, [0.0, t_end], n)[0]
     h_evals = 2
     states = np.empty((samples, n), dtype=complex)
     states[0] = psi

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidInputError
-from .model import _BOOL_TYPES, CouplingMatrix, _finite_real
+from .model import _BOOL_TYPES, CouplingMatrix, _count, _real
 from .roots import DEGENERACY_GAP_RTOL, Spectrum, closed_form_spectrum
 
 _EQUAL_COUPLING_RTOL = 1e-12
@@ -263,16 +263,9 @@ def _at(plan: SpectralPlan, t: float) -> Propagator:
     return Propagator(plan.n, plan.propagators([t])[0], t, plan.method)
 
 
-def _coupling(g) -> float:
-    # the single-time wrappers' g; dispatch reads g from a checked Q instead
-    if not _finite_real(g):
-        raise InvalidInputError(f"coupling must be a finite int or float, got {g!r}")
-    return float(g)  # an int past 64 bits would make numpy build an object array
-
-
 def propagator_two_level(g: float, t: float) -> Propagator:
     """Resonant two-level propagator [[cos gt, -i sin gt], [-i sin gt, cos gt]]; g, t finite."""
-    return _at(_rank_one_plan(Method.TWO_LEVEL, 2, _coupling(g)), t)
+    return _at(_rank_one_plan(Method.TWO_LEVEL, 2, _real(g, "coupling")), t)
 
 
 def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
@@ -281,9 +274,8 @@ def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
     R + I is rank one, so exp(-itQ) = e^{igt} (I + (e^{-ingt} - 1)/n * J) with
     J the all-ones matrix; n is an integer >= 2, and g and t are finite.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInputError(f"equal-coupling propagator needs an integer n >= 2, got {n!r}")
-    return _at(_rank_one_plan(Method.EQUAL_COUPLING, n, _coupling(g)), t)
+    n = _count(n, "n", 2)
+    return _at(_rank_one_plan(Method.EQUAL_COUPLING, n, _real(g, "coupling")), t)
 
 
 def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:

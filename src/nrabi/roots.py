@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import CouplingMatrix
+from .model import CouplingMatrix, _real
 
 #: relative eigenvalue gap below which the Lagrange coefficient denominators
 #: lose too much precision and callers must diagonalize instead
@@ -207,6 +207,11 @@ def _viete(c1: float, c0: float) -> list[float]:
     return [r * math.cos(third - 2.0 * math.pi * k / 3.0) for k in range(3)]
 
 
+def _out_of_range(coeffs) -> InvalidInputError:
+    # a power of a root, or of the spectral radius, past the float range
+    return InvalidInputError(f"the roots of {coeffs} overflow the float range")
+
+
 def solve_cubic_depressed(coeffs: CubicCoeffs) -> Spectrum:
     """All three real roots of lambda^3 - c1*lambda - c0 = 0 by Viete's trigonometric form.
 
@@ -215,16 +220,20 @@ def solve_cubic_depressed(coeffs: CubicCoeffs) -> Spectrum:
     4 c0 / r^3 is clamped to [-1, 1], which only absorbs roundoff (equal
     couplings put it at +-1, and subnormal coefficients can be a few ulps
     past): a ratio clearly outside leaves roots that fail the residual check,
-    which raises InvalidInputError.
+    which raises InvalidInputError.  So do coefficients that are not reals
+    (``model._real``) and roots whose powers overflow the float range.
     """
-    c1 = float(coeffs.c1)
-    c0 = float(coeffs.c0)
-    if not c1 >= 0.0:
+    c1 = _real(coeffs.c1, "cubic coefficient c1")
+    c0 = _real(coeffs.c0, "cubic coefficient c0")
+    if c1 < 0.0:
         raise InvalidInputError(
             f"three real roots need c1 >= 0, got c1 = {c1!r}; "
             "coefficients are not from a real symmetric matrix"
         )
-    return _finish_spectrum(_viete(c1, c0), (1.0, 0.0, -c1, -c0))
+    try:
+        return _finish_spectrum(_viete(c1, c0), (1.0, 0.0, -c1, -c0))
+    except OverflowError:
+        raise _out_of_range(coeffs) from None
 
 
 def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
@@ -243,19 +252,20 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     (near-equal couplings) can look complex by roundoff.  The largest root y
     stays >= 0, so m >= -p/3 > 0 for any Q but Q = 0, where p = q = r = 0 and
     every root is 0.  Coefficients without four real roots fail the residual
-    check instead.
+    check instead; the inputs are checked as in ``solve_cubic_depressed``.
     """
-    p = float(coeffs.p)
-    q = float(coeffs.q)
-    r = float(coeffs.r)
-    m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
-    s = math.sqrt(max(2.0 * m, 0.0))
-    shift = q / (2.0 * s) if s > 0.0 else 0.0
-    roots = []
-    for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
-        half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
-        roots += [-0.5 * b + half, -0.5 * b - half]
-    return _finish_spectrum(roots, (1.0, 0.0, p, q, r))
+    p, q, r = (_real(getattr(coeffs, k), f"quartic coefficient {k}") for k in "pqr")
+    try:
+        m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
+        s = math.sqrt(max(2.0 * m, 0.0))
+        shift = q / (2.0 * s) if s > 0.0 else 0.0
+        roots = []
+        for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
+            half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
+            roots += [-0.5 * b + half, -0.5 * b - half]
+        return _finish_spectrum(roots, (1.0, 0.0, p, q, r))
+    except OverflowError:
+        raise _out_of_range(coeffs) from None
 
 
 def closed_form_spectrum(q: CouplingMatrix) -> Spectrum:

@@ -318,6 +318,21 @@ class TestRejectsNonFiniteAndMistypedInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scale, g", [(1e150, (1.3, 0.7, 0.4)), (1e70, (1.3, 0.7, 0.4, 0.9, 1.1, 0.5))], ids=["n3", "n4"]
+    )
+    def test_couplings_past_the_radical_solvers_range(self, tmp_path, capsys, scale, g):
+        # the cubic's r ** 3 and the quartic's p ** 3 ended in an OverflowError traceback
+        n = 3 if len(g) == 3 else 4
+        levels = [float(k) for k in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        couplings = [
+            {"i": i, "j": j, "g": x * scale, "omega": levels[j] - levels[i]}
+            for (i, j), x in zip(pairs, g)
+        ]
+        err = self.run_simulate(tmp_path, capsys, levels=levels, couplings=couplings, initial=0)
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 # values of the wrong type or out of any sensible range, for any field
 junk = st.one_of(

@@ -60,12 +60,16 @@ class TestLevelSystem:
         with pytest.raises(InvalidInputError):
             LevelSystem.resonant((0.0, 1.0), {(0, 1): -0.5})
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), "1e0", "0.5", True, pytest.param(10**400, id="1e400")],
+    )
     @pytest.mark.parametrize("table", ["couplings", "drive_frequencies", "phases"])
     def test_rejects_non_finite_entries(self, table, value):
+        # float() took the strings and True, and raised OverflowError on 10**400
         maps = {"couplings": {(0, 1): 1.0}, "drive_frequencies": {(0, 1): 1.0}, "phases": {}}
         maps[table] = {(0, 1): value}
-        with pytest.raises(InvalidInputError, match="not finite"):
+        with pytest.raises(InvalidInputError, match="must be a finite int or float"):
             LevelSystem((0.0, 1.0), **maps)
 
     def test_key_order_is_canonicalized(self):
