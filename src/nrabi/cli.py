@@ -188,19 +188,202 @@ def load_scenario(path: str) -> Scenario:
 
 _CSV_CHUNK_ROWS = 256
 
+# The CSV number format is "%.17g": the 17 correctly rounded significant
+# digits D = d0 d1 ... d16 of x and the decimal exponent E of d0, trailing
+# zeros dropped, in fixed notation for -4 <= E <= 16 and as "d.ddde+XX"
+# otherwise. Python's "%" finds D with Gay's dtoa, one value at a time.
+# _csv_text finds it for a whole chunk as the rounded long double product
+# |x| 10**(16 - E), and hands to "%" every field that product cannot settle,
+# NaN, the infinities and every nonzero |x| outside [1e-98, 1e99).
+_LONG = np.finfo(np.longdouble)
+# E of [1e-98, 1e99) is -99..99; floor(log10) and its fix-up stray one further
+_E_MIN, _E_MAX = -100, 100
+# 10**(16 - E) is rounded once in _POW10 and once in the product, so for
+# D < 10**17 the product is within 10**17 eps of |x| 10**(16 - E). A fraction
+# that close to 1/2 may round either way. At 1/2 (a long double no wider than
+# a double) no field is settled.
+_TIE_BAND = min(0.5, 1.001e17 * float(_LONG.eps))
+
+
+def _powers_of_ten() -> np.ndarray:
+    """10**(16 - E) for E = _E_MAX .. _E_MIN, each rounded to the nearest long double."""
+    p = _LONG.nmant + 1
+    k_min, k_max = 16 - _E_MAX, 16 - _E_MIN
+    mants, exps = [], []
+    # floor(2**scale / 10**k) by repeated division by 10; 10**k never divides
+    # 2**scale, so what is dropped below it is never exactly one half
+    scale = 4 * -k_min + 2 * p
+    big = 1 << scale
+    for _ in range(-k_min):
+        big //= 10
+        shift = big.bit_length() - p
+        mants.append((big >> shift) + ((big >> (shift - 1)) & 1))
+        exps.append(shift - scale)
+    mants.reverse()
+    exps.reverse()
+    big = 1
+    for k in range(k_max + 1):
+        shift = max(big.bit_length() - p, 0)
+        m = big >> shift
+        # 10**k ends in exactly k zero bits: a tie when the half bit is the last one set
+        if shift and (big >> (shift - 1)) & 1 and (k < shift - 1 or m & 1):
+            m += 1
+        mants.append(m)
+        exps.append(shift)
+        big *= 10
+    # a mantissa may have rounded up to 2**p; 64-bit limbs add up exactly
+    value = np.zeros(len(mants), dtype=np.longdouble)
+    for at in range(p // 64 * 64, -1, -64):
+        limb = np.array([(m >> at) & 0xFFFFFFFFFFFFFFFF for m in mants], dtype=np.uint64)
+        value = value * 2.0**64 + limb.astype(np.longdouble)
+    return np.ldexp(value, np.array(exps, dtype=np.intc))
+
+
+_POW10 = _powers_of_ten()
+
+# A field is laid out in 48 bytes, six little-endian words:
+#   0      "-"
+#   1-5    "0.000"
+#   6-39   d0 "." d1 "." ... d16 "."   (d_i at byte 6 + 2i)
+#   40-43  "e", the sign of E, two digits of |E|
+#   44     "," or "\n"
+# One row of _KEEP, chosen by notation class, significant digits and sign,
+# zeroes every byte not in its text, and the zeros are then deleted. A field
+# sent to "%" holds that text in bytes 0-31.
+_WORD = np.dtype("<i8")
+_SEPARATOR = 44
+
+
+def _digit_tables():
+    """The words "d.d.d.d." of 0..9999, and for each group of four digits
+    (d1-d4, ..., d13-d16) and value the count of significant digits of D when
+    that is the last group with a nonzero digit (0 for 0)."""
+    one = np.arange(ord("0"), ord("9") + 1, dtype=_WORD) | ord(".") << 8
+    two = (one[:, None] | one << 16).ravel()
+    words = (two[:, None] | two << 32).ravel()
+    nonzero = np.arange(10) != 0
+    used = np.where(nonzero, 2, np.where(nonzero[:, None], 1, 0)).ravel().astype(np.uint8)  # of 00..99
+    used = np.where(used > 0, used + np.uint8(2), used[:, None]).ravel()
+    sig = np.where(used > 0, used + (4 * np.arange(4, dtype=np.uint8) + 1)[:, None], np.uint8(0))
+    sig[0, 0] = 1  # d0 alone: D = 10**16, or a zero
+    return words, sig
+
+
+_DIGITS, _SIGNIFICANT = _digit_tables()
+# word 0: the prefix, then d0 and "."
+_HEAD = (_DIGITS[:10] & -(1 << 48)) | int.from_bytes(b"-0.000", "little")
+
+
+def _exponent_tables():
+    """Word 5 less the separator, and the notation class, for each E."""
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    m = np.abs(e).astype(_WORD)
+    sign = np.where(e < 0, ord("-"), ord("+")).astype(_WORD)
+    tens = m // 10 % 10 + ord("0")
+    units = m % 10 + ord("0")
+    words = ord("e") | sign << 8 | tens << 16 | units << 24
+    # classes 0..20: fixed notation at E = -4..16; 21: "e" notation
+    return words, np.where((e >= -4) & (e <= 16), e + 4, 21)
+
+
+_EXPONENT, _CLASS = _exponent_tables()
+
+
+def _keep_masks() -> np.ndarray:
+    """Rows (class, significant digits, sign), then the row of a "%" text:
+    0xFF on each byte of the field's text, 0 elsewhere."""
+    e = np.arange(-4, 18)[:, None, None]  # E of each class, 17 for "e" notation
+    fixed = e <= 16
+    k = np.arange(18)[:, None]
+    pos = np.arange(48)
+    i = (pos - 6) // 2
+    digit = (pos >= 6) & (pos < 40) & (pos % 2 == 0)
+    dot = (pos >= 7) & (pos < 40) & (pos % 2 == 1)
+    keep = digit & ((i < k) | (fixed & (i <= e)))
+    keep |= dot & (k > 1) & (i == np.where(fixed, e, 0)) & ((k > e + 1) | ~fixed)
+    keep |= (pos >= 1) & (pos <= 1 - e) & (e < 0)
+    keep |= (pos >= 40) & (pos < _SEPARATOR) & ~fixed
+    keep |= pos == _SEPARATOR
+    signed = np.repeat(keep[:, :, None, :], 2, axis=2)
+    signed[:, :, 1, 0] = True
+    text = (pos < 32) | (pos == _SEPARATOR)  # NUL padding is dropped with the rest
+    rows = np.concatenate([signed.reshape(-1, 48), text[None]])
+    return (-rows.view(np.int8)).view(_WORD)
+
+
+_KEEP = _keep_masks()
+_TEXT_ROW = len(_KEEP) - 1
+
+
+def _decimal(x: np.ndarray):
+    """E, D and the fields "%" must write, of a 1-D float array; D = 0 at a zero."""
+    a = np.abs(x)
+    usual = (a >= 1e-98) & (a < 1e99)
+    np.copyto(a, 1.0, where=~usual)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a.astype(np.longdouble) * _POW10[_E_MAX - e]
+    whole = y.astype(np.int64)
+    frac = (y - whole.astype(np.longdouble)).astype(np.float64)
+    digits = whole + (frac > 0.5)
+    # floor(log10) is one off next to a power of ten, and D may round up to 10**17
+    shift = (digits >= 10**17).view(np.int8) - (whole < 10**16)
+    if shift.any():
+        at = np.flatnonzero(shift)
+        e[at] += shift[at]
+        y = a[at].astype(np.longdouble) * _POW10[_E_MAX - e[at]]
+        whole = y.astype(np.int64)
+        frac[at] = y - whole.astype(np.longdouble)
+        digits[at] = whole + (frac[at] > 0.5)
+    exact = (
+        (~usual & (x != 0.0))
+        | ~(np.abs(frac - 0.5) > _TIE_BAND)
+        | (digits < 10**16)
+        | (digits >= 10**17)
+    )
+    digits[~usual | exact] = 0  # a zero is d0 = 0 at E = 0
+    return e, digits, exact
+
+
+def _csv_text(rows: np.ndarray) -> bytearray:
+    """The bytes of ``"".join(",".join("%.17g" % x for x in row) + "\\n" for row in rows)``."""
+    n_rows, n_cols = rows.shape
+    x = np.ascontiguousarray(rows, dtype=np.float64).ravel()
+    e, digits, exact = _decimal(x)
+    text = bytearray(48 * x.size)
+    words = np.frombuffer(text, dtype=_WORD).reshape(x.size, 6)
+    head, rest = np.divmod(digits, 10**16)
+    words[:, 0] = _HEAD[head]
+    # the groups d1-d4 .. d13-d16; spent arrays go at once, to keep the peak low
+    halves = np.divmod(rest, 10**8)
+    del digits, head, rest
+    groups = tuple(part.astype(np.int16) for half in halves for part in np.divmod(half, 10**4))
+    del halves
+    for at, group in enumerate(groups):
+        words[:, 1 + at] = _DIGITS[group]
+    separator = np.full(n_cols, ord(","), dtype=_WORD)
+    separator[-1] = ord("\n")
+    words[:, 5] = (_EXPONENT[e - _E_MIN].reshape(n_rows, n_cols) | separator << 8 * (_SEPARATOR - 40)).ravel()
+    significant = functools.reduce(np.maximum, map(np.take, _SIGNIFICANT, groups))
+    row = (_CLASS[e - _E_MIN] * 18 + significant) * 2 + np.signbit(x)
+    at = np.flatnonzero(exact)
+    if at.size:
+        texts = np.array([b"%.17g" % v for v in x[at].tolist()], dtype="S32")
+        words.view(np.uint8)[at, :32] = texts.view(np.uint8).reshape(-1, 32)
+        row[at] = _TEXT_ROW
+    for column, keep in zip(words.T, _KEEP.T):
+        column &= keep[row]
+    return text.translate(None, b"\0")
+
 
 def _write_csv(path: str, header: list[str], rows: np.ndarray, footer: list[str]) -> None:
-    # "%.17g" % x and format(x, ".17g") make the same PyOS_double_to_string
-    # call, so one pattern per row gives the same bytes; chunks bound memory
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    # _csv_text gives the bytes of "%.17g" % x per value; chunks bound memory
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
             for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-                chunk = rows[start : start + _CSV_CHUNK_ROWS].tolist()
-                fh.write("".join([line % tuple(row) for row in chunk]))
+                fh.write(_csv_text(rows[start : start + _CSV_CHUNK_ROWS]))
             for text in footer:
-                fh.write(f"# {text}\n")
+                fh.write(f"# {text}\n".encode("utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
 

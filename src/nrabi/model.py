@@ -29,6 +29,9 @@ if TYPE_CHECKING:
 Pair = tuple[int, int]
 
 _NORM_ATOL = 1e-12
+# the largest n an array is sized by: the equal-coupling plan holds two n x n
+# float matrices and its propagator a complex one, 0.5 GB together at 4096
+_MAX_LEVELS = 4096
 _INT_TYPES = (int, np.integer)
 _REAL_TYPES = (float, *_INT_TYPES, np.floating)
 _BOOL_TYPES = frozenset((bool, np.bool_))
@@ -51,13 +54,18 @@ def _real(x, what: str) -> float:
     raise InvalidInputError(f"{what} must be a finite int or float, got {x!r}")
 
 
-def _count(x, what: str, minimum: int) -> int:
+def _count(x, what: str, minimum: int, maximum: int | None = None) -> int:
     """x as an int if it is a count, else InvalidInputError naming ``what``.
 
-    A count is an int (numpy's too, not a bool) at or above ``minimum``.
+    A count is an int (numpy's too, not a bool) at or above ``minimum`` and,
+    for a count that sizes an array, at most ``maximum``.
     """
     if isinstance(x, _INT_TYPES) and type(x) is not bool and x >= minimum:
-        return int(x)
+        if maximum is None or x <= maximum:
+            return int(x)
+        bits = int(x).bit_length()  # the repr of 10**400 has 401 digits
+        shown = repr(x) if bits <= 64 else f"an integer of {bits} bits"
+        raise InvalidInputError(f"{what} must be at most {maximum}, got {shown}")
     raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {x!r}")
 
 
@@ -138,13 +146,15 @@ class LevelSystem:
         if any(energies[j] <= energies[j - 1] for j in range(1, n)):
             raise InvalidInputError("energies must be strictly increasing")
 
-        pairs = _level_pairs(n)
         couplings = _canonical_pairs(self.couplings, n, "coupling")
         freqs = _canonical_pairs(self.drive_frequencies, n, "drive frequency")
+        # the keys are distinct pairs i < j < n, so the count alone tells
+        # whether all n (n - 1) / 2 are there, before any pair list is built
+        expected = n * (n - 1) // 2
         for name, table in (("couplings", couplings), ("drive_frequencies", freqs)):
-            if set(table) != set(pairs):
+            if len(table) != expected:
                 raise InvalidInputError(
-                    f"{name} must list every pair: expected {len(pairs)} entries, "
+                    f"{name} must list every pair: expected {expected} entries, "
                     f"got {len(table)}"
                 )
         if any(g < 0.0 for g in couplings.values()):
@@ -152,7 +162,7 @@ class LevelSystem:
 
         phases = _canonical_pairs(self.phases, n, "phase")
         phased = any(p != 0.0 for p in phases.values())
-        for pair in pairs:
+        for pair in _level_pairs(n):
             phases.setdefault(pair, 0.0)
 
         object.__setattr__(self, "couplings", MappingProxyType(couplings))
@@ -337,7 +347,7 @@ class StateVector:
     @classmethod
     def basis(cls, n: int, index: int) -> "StateVector":
         """|index> in n levels: n and index are counts (see ``_count``), index < n."""
-        n = _count(n, "n", 2)
+        n = _count(n, "n", 2, _MAX_LEVELS)
         if _count(index, "basis index", 0) >= n:
             raise InvalidInputError(f"basis index must be below n = {n}, got {index!r}")
         a = np.zeros(n, dtype=complex)

@@ -21,6 +21,8 @@ from .model import LevelSystem, StateVector, _count, _real, hamiltonian_full, ha
 _HERMITICITY_RTOL = 1e-12
 _TAYLOR_DEGREE = 12
 _MAX_EXPM_NORM = 1e6
+# the states are a (samples, n) complex array: 32 MB a level at the cap
+_MAX_SAMPLES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ def integrate_schrodinger(
     t_end = _real(t_end, "t_end")
     if t_end <= 0.0:
         raise InvalidInputError(f"t_end must be positive, got {t_end!r}")
-    samples = _count(samples, "samples", 2)
+    samples = _count(samples, "samples", 2, _MAX_SAMPLES)
     times = np.linspace(0.0, t_end, samples)
     grid = times.tolist()
 

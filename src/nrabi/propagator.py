@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidInputError
-from .model import _BOOL_TYPES, CouplingMatrix, _count, _real
+from .model import _BOOL_TYPES, _MAX_LEVELS, CouplingMatrix, _count, _real
 from .roots import DEGENERACY_GAP_RTOL, Spectrum, closed_form_spectrum
 
 _EQUAL_COUPLING_RTOL = 1e-12
@@ -274,7 +274,7 @@ def propagator_equal_coupling(n: int, g: float, t: float) -> Propagator:
     R + I is rank one, so exp(-itQ) = e^{igt} (I + (e^{-ingt} - 1)/n * J) with
     J the all-ones matrix; n is an integer >= 2, and g and t are finite.
     """
-    n = _count(n, "n", 2)
+    n = _count(n, "n", 2, _MAX_LEVELS)
     return _at(_rank_one_plan(Method.EQUAL_COUPLING, n, _real(g, "coupling")), t)
 
 

@@ -1,14 +1,17 @@
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nrabi import cli, model
 from nrabi.cli import (
@@ -24,6 +27,11 @@ from nrabi.cli import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+_CHECK = importlib.util.spec_from_file_location(
+    "csv_format_check", Path(__file__).resolve().parent.parent / "scripts" / "csv_format_check.py"
+)
+csv_format_check = importlib.util.module_from_spec(_CHECK)
+_CHECK.loader.exec_module(csv_format_check)
 
 
 def read_csv(path):
@@ -650,6 +658,47 @@ class TestCsvBytes:
         out = tmp_path / "golden.csv"
         cli._write_csv(str(out), header, rows, footer)
         assert out.read_bytes() == reference_csv(header, rows, footer)
+
+    @staticmethod
+    def written(rows):
+        header = [f"c{k}" for k in range(rows.shape[1])]
+        with tempfile.TemporaryDirectory() as where:
+            out = Path(where) / "out.csv"
+            cli._write_csv(str(out), header, rows, ["end"])
+            assert out.read_bytes() == reference_csv(header, rows, ["end"])
+
+    @given(arrays(np.uint64, st.tuples(st.integers(1, 40), st.integers(1, 7))))
+    def test_any_bit_pattern(self, bits):
+        self.written(bits.view(np.float64))
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 7)), elements=st.one_of(
+        st.floats(), st.floats(1e-98, 1e99), st.floats(-1e99, -1e-98), st.integers(-10**17, 10**17).map(float),
+    )))
+    def test_any_float(self, rows):
+        self.written(rows)
+
+    def test_edge_values_on_both_sides_of_chunk_edges(self):
+        # 10**k and its neighbours, ties, notation switches, 3-digit exponents,
+        # subnormals, signed zeros, NaN and infinities, over three chunks
+        values = csv_format_check.edge_values()
+        self.written(np.resize(values, (2 * cli._CSV_CHUNK_ROWS + 5, 7)))
+        self.written(np.resize(values[::-1], (cli._CSV_CHUNK_ROWS + 1, 3)))
+
+    def test_ties_round_to_even(self):
+        rows = np.array([[1234567890123456.75, 1234567890123457.25, -0.0, 0.0]])
+        assert cli._csv_text(rows) == b"1234567890123456.8,1234567890123457.2,-0,0\n"
+
+    def test_exact_path_alone_gives_the_same_bytes(self, monkeypatch):
+        # a band of 1/2 settles no field: every one is formatted by "%"
+        monkeypatch.setattr(cli, "_TIE_BAND", 0.5)
+        values = np.concatenate([csv_format_check.edge_values(), np.random.default_rng(7).standard_normal(999)])
+        self.written(np.resize(values, (cli._CSV_CHUNK_ROWS + 9, 5)))
+
+    def test_power_table_is_correctly_rounded(self):
+        # _POW10[i] = 10**(16 - E) at E = _E_MAX - i, within half an ulp
+        for i, value in enumerate(cli._POW10):
+            error = Fraction(*value.as_integer_ratio()) - Fraction(10) ** (16 - cli._E_MAX + i)
+            assert abs(error) <= Fraction(*np.spacing(value).as_integer_ratio()) / 2
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.json")))

@@ -1,7 +1,8 @@
 """One table of every public entry point that takes an outside number.
 
 A real is an int or float (numpy's too, not a bool) with a finite value; a
-count is a non-bool int at or above a minimum.  Every value below breaks the
+count is a non-bool int at or above a minimum and, where it sizes an array,
+at most a maximum.  Every value below breaks the
 rule its argument follows, so each call must raise InvalidInputError, no
 other exception and no result, with a message that names the argument.
 """
@@ -34,6 +35,9 @@ NOT_REALS = {
 }
 # 10**400 is a count; it is out of range only where n bounds the count
 NOT_SIZES = {**{k: v for k, v in NOT_REALS.items() if k != "1e400"}, "2.5": 2.5}
+# a count that sizes an array also has a maximum, checked before anything is
+# allocated (these raised ValueError, OverflowError or MemoryError)
+NOT_ARRAY_SIZES = {**NOT_SIZES, "1e400": 10**400, "2**40": 2**40}
 # int(0.7) is 0: a key (0.7, 1) was read as the pair (0, 1)
 NOT_INDICES = {**NOT_REALS, "2.5": 2.5, "0.7": 0.7}
 NOT_TOLERANCES = {k: v for k, v in NOT_REALS.items() if v is not None}  # None: the default
@@ -61,17 +65,17 @@ TABLE = {
     "phase": ("phase[0,1]", NOT_REALS, lambda v: _pairs(phases={(0, 1): v})),
     "key_i": ("coupling key", NOT_INDICES, lambda v: _pairs(couplings={(v, 1): 1.0})),
     "key_j": ("drive frequency key", NOT_INDICES, lambda v: _pairs(drive_frequencies={(0, v): 1.0})),
-    "basis_n": ("n must be", NOT_SIZES, lambda v: StateVector.basis(v, 0)),
+    "basis_n": ("n must be", NOT_ARRAY_SIZES, lambda v: StateVector.basis(v, 0)),
     "basis_index": ("basis index", NOT_INDICES, lambda v: StateVector.basis(3, v)),
     "dt": ("dt", NOT_REALS, lambda v: IntegrationConfig(dt=v)),
     "rel_tol": ("rel_tol", NOT_REALS, lambda v: IntegrationConfig(rel_tol=v)),
     "abs_tol": ("abs_tol", NOT_REALS, lambda v: IntegrationConfig(abs_tol=v)),
     "max_steps": ("max_steps", NOT_SIZES, lambda v: IntegrationConfig(max_steps=v)),
     "t_end": ("t_end", NOT_REALS, lambda v: _integrate(t_end=v)),
-    "samples": ("samples", NOT_SIZES, lambda v: _integrate(samples=v)),
+    "samples": ("samples", NOT_ARRAY_SIZES, lambda v: _integrate(samples=v)),
     "two_level_g": ("coupling", NOT_REALS, lambda v: propagator_two_level(v, 1.0)),
     "two_level_t": ("times", NOT_REALS, lambda v: propagator_two_level(1.0, v)),
-    "equal_coupling_n": ("n must be", NOT_SIZES, lambda v: propagator_equal_coupling(v, 1.0, 1.0)),
+    "equal_coupling_n": ("n must be", NOT_ARRAY_SIZES, lambda v: propagator_equal_coupling(v, 1.0, 1.0)),
     "equal_coupling_g": ("coupling", NOT_REALS, lambda v: propagator_equal_coupling(3, v, 1.0)),
     "equal_coupling_t": ("times", NOT_REALS, lambda v: propagator_equal_coupling(3, 1.0, v)),
     "resonance_tol": ("tolerance", NOT_TOLERANCES, lambda v: check_resonance(TWO_LEVEL, v)),

@@ -26,6 +26,7 @@ from nrabi import (
     spectral_plan,
     trajectory,
 )
+from nrabi import model as nrabi_model
 from nrabi.cli import Scenario, scenario_from_dict, scenario_to_dict
 from nrabi.propagator import Method, SpectralPlan
 
@@ -55,6 +56,16 @@ class TestLevelSystem:
     def test_requires_all_pairs(self):
         with pytest.raises(InvalidInputError):
             LevelSystem((0.0, 1.0, 2.0), {(0, 1): 1.0}, {(0, 1): 1.0})
+
+    def test_too_few_couplings_refused_before_the_pair_list(self, monkeypatch):
+        # the 1999000 pairs of 2000 levels took 0.7 s and 300 MB to refuse
+        def no_pair_list(n):
+            raise AssertionError(f"pair list of n = {n} built")
+
+        monkeypatch.setattr(nrabi_model, "_level_pairs", no_pair_list)
+        energies = tuple(float(k) for k in range(2000))
+        with pytest.raises(InvalidInputError, match="expected 1999000 entries, got 1"):
+            LevelSystem(energies, {(0, 1): 1.0}, {(0, 1): 1.0})
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(InvalidInputError):

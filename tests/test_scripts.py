@@ -33,3 +33,24 @@ def test_rwa_error_scan(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [float(row[0]) for row in rows] == [0.2, 0.1]
     assert all(len(row) == 3 and float(row[2]) >= 0.0 for row in rows)
+
+
+def test_csv_format_check(tmp_path):
+    proc = run_script("csv_format_check.py", "--count", "20000", "--seed", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.match(r"2\d{4} values written as \"%\.17g\" writes them \(20000 random, seed 3\)", proc.stdout)
+
+
+def test_csv_format_check_names_the_first_mismatch(tmp_path):
+    # a writer that drops the last digit of 0.1 must be caught and reported
+    code = (
+        "import sys, runpy\n"
+        "from nrabi import cli\n"
+        "real = cli._csv_text\n"
+        "cli._csv_text = lambda rows: real(rows).replace(b'0.10000000000000001', b'0.1000000000000000')\n"
+        "sys.argv = ['csv_format_check.py', '--count', '0']\n"
+        f"runpy.run_path({str(SCRIPTS / 'csv_format_check.py')!r}, run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("mismatch: 0.1 (bits 0x3fb999999999999a)"), proc.stdout
