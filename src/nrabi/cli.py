@@ -205,41 +205,9 @@ _E_MIN, _E_MAX = -100, 100
 _TIE_BAND = min(0.5, 1.001e17 * float(_LONG.eps))
 
 
-def _powers_of_ten() -> np.ndarray:
-    """10**(16 - E) for E = _E_MAX .. _E_MIN, each rounded to the nearest long double."""
-    p = _LONG.nmant + 1
-    k_min, k_max = 16 - _E_MAX, 16 - _E_MIN
-    mants, exps = [], []
-    # floor(2**scale / 10**k) by repeated division by 10; 10**k never divides
-    # 2**scale, so what is dropped below it is never exactly one half
-    scale = 4 * -k_min + 2 * p
-    big = 1 << scale
-    for _ in range(-k_min):
-        big //= 10
-        shift = big.bit_length() - p
-        mants.append((big >> shift) + ((big >> (shift - 1)) & 1))
-        exps.append(shift - scale)
-    mants.reverse()
-    exps.reverse()
-    big = 1
-    for k in range(k_max + 1):
-        shift = max(big.bit_length() - p, 0)
-        m = big >> shift
-        # 10**k ends in exactly k zero bits: a tie when the half bit is the last one set
-        if shift and (big >> (shift - 1)) & 1 and (k < shift - 1 or m & 1):
-            m += 1
-        mants.append(m)
-        exps.append(shift)
-        big *= 10
-    # a mantissa may have rounded up to 2**p; 64-bit limbs add up exactly
-    value = np.zeros(len(mants), dtype=np.longdouble)
-    for at in range(p // 64 * 64, -1, -64):
-        limb = np.array([(m >> at) & 0xFFFFFFFFFFFFFFFF for m in mants], dtype=np.uint64)
-        value = value * 2.0**64 + limb.astype(np.longdouble)
-    return np.ldexp(value, np.array(exps, dtype=np.intc))
-
-
-_POW10 = _powers_of_ten()
+# 10**(16 - E) for E = _E_MAX .. _E_MIN, each rounded to the nearest long
+# double by numpy's parser (the C library's strtold)
+_POW10 = np.array(["1e%d" % (16 - e) for e in range(_E_MAX, _E_MIN - 1, -1)], dtype=np.longdouble)
 
 # A field is laid out in 48 bytes, six little-endian words:
 #   0      "-"
@@ -596,9 +564,7 @@ def main(argv=None) -> int:
             return cmd_verify(args.scenario)
         if args.command == "eigen":
             return cmd_eigen(args.scenario)
-        if args.command == "compare":
-            return cmd_compare(args.scenario, args.out, args.method, args.rtol, args.atol)
-        raise ScenarioError(f"unknown command {args.command!r}")
+        return cmd_compare(args.scenario, args.out, args.method, args.rtol, args.atol)
     except (
         ScenarioError,
         InvalidInputError,

@@ -41,8 +41,8 @@ def _real(x, what: str) -> float:
     """x as a float if it is a real, else InvalidInputError naming ``what``.
 
     A real is an int or a float (numpy's too, not a bool) with a finite
-    value; an int past the float range is not finite.  With ``_count``, the
-    rule for every number the package takes from outside.
+    value; an int past the float range is not finite.  With ``_count`` and
+    ``_as_times``, the rule for every number the package takes from outside.
     """
     if isinstance(x, _REAL_TYPES) and type(x) is not bool:  # np.bool_ is not an np.integer
         try:
@@ -63,10 +63,41 @@ def _count(x, what: str, minimum: int, maximum: int | None = None) -> int:
     if isinstance(x, _INT_TYPES) and type(x) is not bool and x >= minimum:
         if maximum is None or x <= maximum:
             return int(x)
-        bits = int(x).bit_length()  # the repr of 10**400 has 401 digits
-        shown = repr(x) if bits <= 64 else f"an integer of {bits} bits"
-        raise InvalidInputError(f"{what} must be at most {maximum}, got {shown}")
-    raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {x!r}")
+        raise InvalidInputError(f"{what} must be at most {maximum}, got {_shown(x)}")
+    raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {_shown(x)}")
+
+
+def _shown(x) -> str:
+    # the repr of 10**400 has 401 digits, and Python writes no int past 4300
+    if isinstance(x, int) and x.bit_length() > 64:
+        return f"an integer of {x.bit_length()} bits"
+    return repr(x)
+
+
+def _as_times(times) -> np.ndarray:
+    """Sample times as a fresh 1-D float array, else InvalidInputError.
+
+    The real rule over an array: a non-empty 1-D array of finite ints or
+    floats, and no int past 64 bits (numpy holds one as an object).  A float conversion
+    would take "1.5" and True, so the type is checked first, item by item in
+    a list or tuple: numpy makes [0.0, True] floats.
+    """
+    try:
+        t = np.array(times)  # a fresh copy, so the caller's array is never exposed
+    except ValueError:  # ragged, as [0.0, [1.0]]
+        raise InvalidInputError("times must be a non-empty 1-D array") from None
+    if t.dtype.kind not in "iuf" or (
+        isinstance(times, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, times))
+    ):
+        # numpy holds an int outside the 64-bit range, like any non-number, as an object
+        cause = "ints outside the 64-bit range" if t.dtype.kind == "O" else "booleans, strings"
+        raise InvalidInputError(f"sample times must be ints or floats, not {cause} or other objects")
+    if t.ndim != 1 or t.size == 0:
+        raise InvalidInputError("times must be a non-empty 1-D array")
+    t = t.astype(float, copy=False)
+    if np.count_nonzero(np.isfinite(t)) != t.size:
+        raise InvalidInputError("sample times must be finite")
+    return t
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -554,7 +585,7 @@ def trajectory(
     exponential.  Every row must have unit norm within 1e-12, as a
     StateVector must, or InvalidInputError is raised.
     """
-    times, amplitudes, route = _framed_rows(system, psi0, times, method, tol, _propagator._as_times)
+    times, amplitudes, route = _framed_rows(system, psi0, times, method, tol, _as_times)
     times.setflags(write=False)
     return Trajectory(times, amplitudes, route)
 
@@ -582,7 +613,7 @@ def _single_time(t) -> np.ndarray:
     # refuses ints past 64 bits
     if type(t) is float and math.isfinite(t):
         return np.array([t])
-    return _propagator._as_times([t])
+    return _as_times([t])
 
 
 def _framed_rows(system, psi0, times, method, tol, as_times) -> tuple[np.ndarray, np.ndarray, Method]:

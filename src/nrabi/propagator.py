@@ -30,9 +30,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidInputError
-from .model import _BOOL_TYPES, _MAX_LEVELS, CouplingMatrix, _count, _real
-from .roots import DEGENERACY_GAP_RTOL, Spectrum, closed_form_spectrum
+from .model import _MAX_LEVELS, CouplingMatrix, _as_times, _count, _real
+from .roots import Spectrum, closed_form_spectrum
 
+#: relative eigenvalue gap below which the Lagrange gap products lose too
+#: much precision: the gate of forced Lagrange and of ``lagrange_coeffs``
+DEGENERACY_GAP_RTOL = 1e-8
 _EQUAL_COUPLING_RTOL = 1e-12
 _EIGENVECTOR_RESIDUAL_RTOL = 1e-8
 _DIRECTION_RTOL = 1e-10
@@ -98,28 +101,6 @@ class EigenDecomposition:
 
     spectrum: Spectrum
     vectors: np.ndarray
-
-
-def _as_times(times) -> np.ndarray:
-    # the one check on sample times, made before any phase is computed; a
-    # float conversion would take "1.5" and True, so the type is checked
-    # first, item by item in a list or tuple: numpy makes [0.0, True] floats
-    try:
-        t = np.array(times)  # a fresh copy, so the caller's array is never exposed
-    except ValueError:  # ragged, as [0.0, [1.0]]
-        raise InvalidInputError("times must be a non-empty 1-D array") from None
-    if t.dtype.kind not in "iuf" or (
-        isinstance(times, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, times))
-    ):
-        # numpy holds an int outside the 64-bit range, like any non-number, as an object
-        cause = "ints outside the 64-bit range" if t.dtype.kind == "O" else "booleans, strings"
-        raise InvalidInputError(f"sample times must be ints or floats, not {cause} or other objects")
-    if t.ndim != 1 or t.size == 0:
-        raise InvalidInputError("times must be a non-empty 1-D array")
-    t = t.astype(float, copy=False)
-    if np.count_nonzero(np.isfinite(t)) != t.size:
-        raise InvalidInputError("sample times must be finite")
-    return t
 
 
 @dataclass(frozen=True)
@@ -229,14 +210,9 @@ class SpectralPlan:
         return self._apply(psi[:, None], times, frame)[:, :, 0]
 
 
-def _separated(spectrum: Spectrum) -> bool:
-    # every eigenvalue gap above DEGENERACY_GAP_RTOL of the spectral radius
-    return spectrum.degeneracy_gap > DEGENERACY_GAP_RTOL * spectrum.spectral_radius
-
-
 def _lagrange_nodes(spectrum: Spectrum) -> np.ndarray:
     # the eigenvalues as interpolation nodes, whose every gap is a divisor
-    if not _separated(spectrum):
+    if not spectrum.degeneracy_gap > DEGENERACY_GAP_RTOL * spectrum.spectral_radius:
         raise DegenerateSpectrumError(
             f"eigenvalue gap {spectrum.degeneracy_gap:.3e} is below "
             f"{DEGENERACY_GAP_RTOL:.0e} of the spectral radius; use a diagonalization method"
@@ -429,7 +405,7 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
             method = Method.EQUAL_COUPLING
         elif q.n in (3, 4):
             spectrum = closed_form_spectrum(q)
-            if _separated(spectrum):
+            if spectrum.degeneracy_gap > 0.0:  # the radical solvers merged no cluster
                 method = Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4
             else:
                 method = Method.JACOBI

@@ -21,10 +21,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .model import CouplingMatrix, _real
 
-#: relative eigenvalue gap below which the Lagrange coefficient denominators
-#: lose too much precision and callers must diagonalize instead
-DEGENERACY_GAP_RTOL = 1e-8
-
 # neighbouring roots within this fraction of the spectral radius form one cluster
 _CLUSTER_RTOL = 1e-4
 _RESIDUAL_RTOL = 1e-9
