@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidInputError
 from .model import _MAX_LEVELS, CouplingMatrix, _as_times, _count, _real
-from .roots import Spectrum, closed_form_spectrum
+from .roots import Spectrum, closed_form_spectrum, scale_exponent
 
 #: relative eigenvalue gap below which the Lagrange gap products lose too
 #: much precision: the gate of forced Lagrange and of ``lagrange_coeffs``
@@ -428,11 +428,15 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
         if spectrum is None:
             spectrum = closed_form_spectrum(q)
         # P_j = l_j(Q) = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k): one
-        # batched product per factor over the shifted stack, then one division
+        # batched product per factor over the shifted stack, then one division.
+        # P_j is homogeneous of degree 0 in (Q, lambda), so it is built from
+        # the pair the radical solvers scaled, where no product under- or overflows
         lam = _lagrange_nodes(spectrum)
+        e = scale_exponent(q)
+        a, nodes = (q.entries, lam) if not e else (np.ldexp(q.entries, -e), np.ldexp(lam, -e))
         others = _others(len(lam))
-        factors = (q.entries - lam[:, None, None] * np.eye(q.n))[others]  # (m, m - 1, n, n)
-        lams = lam.tolist()
+        factors = (a - nodes[:, None, None] * np.eye(q.n))[others]  # (m, m - 1, n, n)
+        lams = nodes.tolist()
         gaps = [math.prod(lams[j] - lams[k] for k in row) for j, row in enumerate(others.tolist())]
         products = functools.reduce(np.matmul, factors.swapaxes(0, 1))
         return SpectralPlan(method, q.n, lam, products / np.array(gaps)[:, None, None])

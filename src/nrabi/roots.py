@@ -24,6 +24,9 @@ from .model import CouplingMatrix, _real
 # neighbouring roots within this fraction of the spectral radius form one cluster
 _CLUSTER_RTOL = 1e-4
 _RESIDUAL_RTOL = 1e-9
+# max|Q| in this band keeps every intermediate of the characteristic
+# polynomials and of the resolvent (its g^6 terms p^3 and q^2) a normal float
+_SAFE_BAND = (2.0 ** -150, 2.0 ** 150)
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,27 @@ def _six_couplings(q: CouplingMatrix) -> tuple[float, ...]:
     return a.item(0, 1), a.item(1, 2), a.item(2, 3), a.item(0, 2), a.item(1, 3), a.item(0, 3)
 
 
+def _binary_exponent(couplings: tuple[float, ...]) -> int:
+    # 0 when max|g| is in the safe band, else its binary exponent e, so that
+    # 2^-e Q has max|g| in [1/2, 1); scaling by a power of two is exact
+    top = max(map(abs, couplings))
+    if top == 0.0 or _SAFE_BAND[0] <= top <= _SAFE_BAND[1]:
+        return 0
+    return math.frexp(top)[1]
+
+
+def scale_exponent(q: CouplingMatrix) -> int:
+    """The e with which ``closed_form_spectrum`` solves 2^-e Q in place of a 3x3 or 4x4 Q.
+
+    0 when max|Q| lies in [2^-150, 2^150], else the binary exponent of max|Q|.
+    """
+    return _binary_exponent(_three_couplings(q) if q.n == 3 else _six_couplings(q))
+
+
+def _cubic(g1: float, g2: float, g3: float) -> CubicCoeffs:
+    return CubicCoeffs(c1=g1 * g1 + g2 * g2 + g3 * g3, c0=2.0 * g1 * g2 * g3)
+
+
 def char_poly_3(q: CouplingMatrix) -> CubicCoeffs:
     """Characteristic polynomial of a 3x3 coupling matrix.
 
@@ -89,8 +113,7 @@ def char_poly_3(q: CouplingMatrix) -> CubicCoeffs:
     """
     if q.n != 3:
         raise InvalidInputError(f"char_poly_3 needs n = 3, got n = {q.n}")
-    g1, g2, g3 = _three_couplings(q)
-    return CubicCoeffs(c1=g1 * g1 + g2 * g2 + g3 * g3, c0=2.0 * g1 * g2 * g3)
+    return _cubic(*_three_couplings(q))
 
 
 def char_poly_4(q: CouplingMatrix) -> QuarticCoeffs:
@@ -104,7 +127,10 @@ def char_poly_4(q: CouplingMatrix) -> QuarticCoeffs:
     """
     if q.n != 4:
         raise InvalidInputError(f"char_poly_4 needs n = 4, got n = {q.n}")
-    g1, g2, g3, g4, g5, g6 = _six_couplings(q)
+    return _quartic(*_six_couplings(q))
+
+
+def _quartic(g1: float, g2: float, g3: float, g4: float, g5: float, g6: float) -> QuarticCoeffs:
     p = -(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5 + g6 * g6)
     qq = -2.0 * (g1 * g2 * g4 + g1 * g5 * g6 + g2 * g3 * g5 + g3 * g4 * g6)
     r = (
@@ -265,11 +291,25 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
 
 
 def closed_form_spectrum(q: CouplingMatrix) -> Spectrum:
-    """Spectrum of a 3x3 or 4x4 coupling matrix through the radical formulas."""
+    """Spectrum of a 3x3 or 4x4 coupling matrix through the radical formulas.
+
+    Outside the safe band (``scale_exponent``), the spectrum of 2^-e Q is
+    solved and its eigenvalues and gap are scaled back by 2^e.
+    """
     if q.n == 3:
-        return solve_cubic_depressed(char_poly_3(q))
-    if q.n == 4:
-        return solve_quartic(char_poly_4(q))
-    raise InvalidInputError(
-        f"closed-form spectra exist only for n = 3 or 4, got n = {q.n}"
-    )
+        g, coefficients, solve = _three_couplings(q), _cubic, solve_cubic_depressed
+    elif q.n == 4:
+        g, coefficients, solve = _six_couplings(q), _quartic, solve_quartic
+    else:
+        raise InvalidInputError(
+            f"closed-form spectra exist only for n = 3 or 4, got n = {q.n}"
+        )
+    e = _binary_exponent(g)
+    if not e:
+        return solve(coefficients(*g))
+    scaled = solve(coefficients(*(math.ldexp(x, -e) for x in g)))
+    try:
+        lam = [math.ldexp(x, e) for x in scaled.eigenvalues.tolist()]
+    except OverflowError:
+        raise InvalidInputError(f"the eigenvalues of {q.n}x{q.n} Q overflow the float range") from None
+    return Spectrum(eigenvalues=lam, degeneracy_gap=math.ldexp(scaled.degeneracy_gap, e), n=q.n)

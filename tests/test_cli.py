@@ -1,5 +1,8 @@
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -327,10 +330,13 @@ class TestRejectsNonFiniteAndMistypedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "scale, g", [(1e150, (1.3, 0.7, 0.4)), (1e70, (1.3, 0.7, 0.4, 0.9, 1.1, 0.5))], ids=["n3", "n4"]
+        "scale, g", [(1e308, (1.7, 1.6, 1.5)), (1e308, (1.7, 1.6, 1.5, 1.4, 1.3, 1.2))], ids=["n3", "n4"]
     )
     def test_couplings_past_the_radical_solvers_range(self, tmp_path, capsys, scale, g):
-        # the cubic's r ** 3 and the quartic's p ** 3 ended in an OverflowError traceback
+        # the cubic's r ** 3 and the quartic's p ** 3 ended in an OverflowError
+        # traceback at 1e150 (n = 3) and 1e70 (n = 4); Q is now solved scaled by
+        # a power of two, which serves those (TestScaleFree), and only an
+        # eigenvalue past the float range is refused
         n = 3 if len(g) == 3 else 4
         levels = [float(k) for k in range(n)]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -340,6 +346,86 @@ class TestRejectsNonFiniteAndMistypedInput:
         ]
         err = self.run_simulate(tmp_path, capsys, levels=levels, couplings=couplings, initial=0)
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def scaled_scenario(energies, g, k, t_end, samples=5):
+    """A resonant scenario with energies and couplings times 2**k and t_end times 2**-k."""
+    n = len(energies)
+    levels = [math.ldexp(e, k) for e in energies]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    couplings = [
+        {"i": i, "j": j, "g": math.ldexp(x, k), "omega": levels[j] - levels[i]}
+        for (i, j), x in zip(pairs, g)
+    ]
+    return {"levels": levels, "couplings": couplings, "initial": 0,
+            "t_end": math.ldexp(t_end, -k), "samples": samples}
+
+
+def eigh_populations(g, n, times):
+    """|exp(-itQ) e_0|^2 of the unscaled Q by numpy's eigh, one row per time."""
+    q = np.zeros((n, n))
+    q[np.triu_indices(n, k=1)] = g
+    lam, v = np.linalg.eigh(q + q.T)
+    states = (v * np.exp(-1j * np.outer(times, lam))[:, None, :]) @ v[0]
+    return np.abs(states) ** 2
+
+
+class TestScaleFree:
+    """Couplings and energies times 2**k, t_end times 2**-k: the same populations."""
+
+    @staticmethod
+    def simulate(tmp_dir, data):
+        path = write_scenario(tmp_dir, "scaled.json", data)
+        out = tmp_dir / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["simulate", path, "--out", str(out)])
+        return code, out, err.getvalue()
+
+    @pytest.mark.parametrize(
+        "scale, g",
+        [(1e-140, (1.3, 0.7, 0.4)), (1e150, (1.3, 0.7, 0.4)), (1e70, (1.3, 0.7, 0.4, 0.9, 1.1, 0.5))],
+        ids=["n3-1e-140", "n3-1e150", "n4-1e70"],
+    )
+    def test_served_like_the_unscaled_system(self, tmp_path, scale, g):
+        # at 1e-140, c0 = 2 g1 g2 g3 underflowed and lagrange3 printed
+        # populations 0.0585, 0.7342, 0.2073 at exit 0; at 1e150 and 1e70 the
+        # solvers refused
+        n = 3 if len(g) == 3 else 4
+        energies = [0.0, 1.0, 2.5, 4.5][:n]
+        data = scaled_scenario([e * scale for e in energies], [x * scale for x in g], 0, 1.0 / scale)
+        code, out, err = self.simulate(tmp_path, data)
+        assert code == 0, err
+        _, rows, footer = read_csv(out)
+        assert f"# method = lagrange{n} (auto)" in footer
+        expected = eigh_populations(g, n, rows[:, 0] * scale)
+        assert np.max(np.abs(rows[:, 1 : 1 + n] - expected)) <= 1e-9
+
+    @settings(max_examples=40)
+    @given(
+        k=st.integers(-1000, 1000),
+        n=st.sampled_from([3, 4]),
+        g=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6),
+        gaps=st.lists(st.floats(0.25, 3.0), min_size=3, max_size=3),
+        t_end=st.floats(0.5, 10.0),
+    )
+    def test_any_power_of_two_scale(self, k, n, g, gaps, t_end):
+        g = g[: n * (n - 1) // 2]
+        energies = [0.0]
+        for d in gaps[: n - 1]:
+            energies.append(energies[-1] + d)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_dir = Path(tmp)
+            code, out, err = self.simulate(tmp_dir, scaled_scenario(energies, g, k, t_end))
+            # a RuntimeWarning is an error under the suite's warning filter
+            assert code in (0, 1)
+            if code == 0:
+                _, rows, _ = read_csv(out)
+                times = np.array([math.ldexp(t, k) for t in rows[:, 0]])
+                expected = eigh_populations(g, n, times)
+                assert np.max(np.abs(rows[:, 1 : 1 + n] - expected)) <= 1e-9
+            else:
+                assert err.startswith("error:") and not out.exists()
 
 
 # values of the wrong type or out of any sensible range, for any field

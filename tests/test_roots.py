@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nrabi import (
     CubicCoeffs,
+    DegenerateSpectrumError,
     InvalidInputError,
     QuarticCoeffs,
     char_poly_3,
@@ -15,7 +16,9 @@ from nrabi import (
     jacobi_eigendecompose,
     solve_cubic_depressed,
     solve_quartic,
+    spectral_plan,
 )
+from nrabi.roots import scale_exponent
 
 from conftest import coupling_matrix, random_coupling_matrix
 
@@ -249,3 +252,39 @@ class TestSpectrumInvariants:
     def test_closed_form_spectrum_rejects_other_sizes(self, rng):
         with pytest.raises(InvalidInputError):
             closed_form_spectrum(random_coupling_matrix(rng, 5))
+
+
+class TestPowerOfTwoScaling:
+    """Outside max|Q| in [2^-150, 2^150], Q is solved as 2^-e Q: exact in both directions."""
+
+    @given(
+        st.sampled_from([3, 4]),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 0.99), st.floats(-0.99, -1e-6)), min_size=6, max_size=6),
+        st.one_of(st.integers(-1000, -151), st.integers(151, 1000)),
+    )
+    def test_spectrum_and_lagrange_plan_scale_bit_for_bit(self, n, g, k):
+        # max|Q| in [1/2, 1): 2^k Q is solved as Q itself, and each Lagrange
+        # projector is built from (Q, lambda) again; every 2^k g stays normal
+        g = [0.75] + g[1 : n * (n - 1) // 2]
+        q = coupling_matrix(g, n)
+        scaled = coupling_matrix([math.ldexp(x, k) for x in g], n)
+        assert scale_exponent(q) == 0 and scale_exponent(scaled) == k
+        spectrum, spectrum_k = closed_form_spectrum(q), closed_form_spectrum(scaled)
+        assert spectrum_k.eigenvalues.tobytes() == np.ldexp(spectrum.eigenvalues, k).tobytes()
+        assert spectrum_k.degeneracy_gap == math.ldexp(spectrum.degeneracy_gap, k)
+        method = "lagrange3" if n == 3 else "lagrange4"
+        try:
+            plan = spectral_plan(q, method)
+        except DegenerateSpectrumError:
+            return
+        assert spectral_plan(scaled, method).projectors.tobytes() == plan.projectors.tobytes()
+
+    def test_in_band_spectra_are_not_scaled(self):
+        for top in (2.0 ** -150, 1.0, 2.0 ** 150):
+            assert scale_exponent(coupling_matrix([top, 0.5 * top, 0.25 * top], 3)) == 0
+        assert scale_exponent(coupling_matrix([2.0 ** 151, 1.0, 1.0], 3)) == 152
+
+    def test_eigenvalues_past_the_float_range_are_refused(self):
+        # every coupling is finite, the largest eigenvalue (about 3.2e308) is not
+        with pytest.raises(InvalidInputError, match="overflow the float range"):
+            closed_form_spectrum(coupling_matrix([1.7e308, 1.6e308, 1.5e308], 3))
