@@ -51,7 +51,7 @@ def _real(x, what: str) -> float:
             value = math.inf
         if math.isfinite(value):
             return value
-    raise InvalidInputError(f"{what} must be a finite int or float, got {x!r}")
+    raise InvalidInputError(f"{what} must be a finite int or float, got {_shown(x)}")
 
 
 def _count(x, what: str, minimum: int, maximum: int | None = None) -> int:
@@ -141,6 +141,14 @@ def _canonical_pairs(values, n: int, what: str) -> dict[Pair, float]:
     return out
 
 
+def _require_every_pair(name: str, count: int, n: int) -> None:
+    expected = n * (n - 1) // 2
+    if count != expected:
+        raise InvalidInputError(
+            f"{name} must list every pair: expected {expected} entries, got {count}"
+        )
+
+
 def _energies(values) -> tuple[float, ...]:
     return tuple(_real(e, f"energies[{k}]") for k, e in enumerate(values))
 
@@ -181,13 +189,8 @@ class LevelSystem:
         freqs = _canonical_pairs(self.drive_frequencies, n, "drive frequency")
         # the keys are distinct pairs i < j < n, so the count alone tells
         # whether all n (n - 1) / 2 are there, before any pair list is built
-        expected = n * (n - 1) // 2
         for name, table in (("couplings", couplings), ("drive_frequencies", freqs)):
-            if len(table) != expected:
-                raise InvalidInputError(
-                    f"{name} must list every pair: expected {expected} entries, "
-                    f"got {len(table)}"
-                )
+            _require_every_pair(name, len(table), n)
         if any(g < 0.0 for g in couplings.values()):
             raise InvalidInputError("couplings must be non-negative")
 
@@ -224,11 +227,16 @@ class LevelSystem:
         by construction.
         """
         energies = _energies(energies)
+        couplings = dict(couplings)
+        # a table with fewer entries than pairs is refused before the
+        # n (n - 1) / 2 frequencies are built; the constructor checks the rest
+        if len(couplings) < len(energies) * (len(energies) - 1) // 2:
+            _require_every_pair("couplings", len(couplings), len(energies))
         freqs = {
             (i, j): energies[j] - energies[i]
             for (i, j) in _level_pairs(len(energies))
         }
-        return cls(energies, dict(couplings), freqs, dict(phases or {}))
+        return cls(energies, couplings, freqs, dict(phases or {}))
 
     def detunings(self) -> np.ndarray:
         """Delta_j = E_j - E_0 for j = 0..n-1 (the constant E_0 is dropped)."""
@@ -390,8 +398,12 @@ class StateVector:
 
 
 def default_condition_tolerance(system: LevelSystem) -> float:
-    """1e-9 relative to the largest drive frequency (floored at 1 unit)."""
-    return 1e-9 * max(1.0, system.max_drive_frequency())
+    """1e-9 relative to the largest drive frequency, in any frequency unit.
+
+    Rounding-level residuals stay below 2 n^2 eps max|omega|, so a resonant
+    system passes at every scale.
+    """
+    return 1e-9 * system.max_drive_frequency()
 
 
 def build_q(system: LevelSystem) -> CouplingMatrix:

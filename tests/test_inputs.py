@@ -32,6 +32,8 @@ NOT_REALS = {
     "inf": float("inf"),
     "-inf": float("-inf"),
     "1e400": 10**400,
+    # Python writes no int past 4300 digits: a repr in the message raised ValueError
+    "-1e5000": -10**5000,
 }
 # 10**400 is a count; it is out of range only where n bounds the count
 NOT_SIZES = {**{k: v for k, v in NOT_REALS.items() if k != "1e400"}, "2.5": 2.5}

@@ -67,6 +67,15 @@ class TestLevelSystem:
         with pytest.raises(InvalidInputError, match="expected 1999000 entries, got 1"):
             LevelSystem(energies, {(0, 1): 1.0}, {(0, 1): 1.0})
 
+    def test_resonant_refuses_a_short_coupling_table_before_the_pair_list(self, monkeypatch):
+        # resonant built the n (n - 1) / 2 drive frequencies first: 0.6 s at 600 levels
+        def no_pair_list(n):
+            raise AssertionError(f"pair list of n = {n} built")
+
+        monkeypatch.setattr(nrabi_model, "_level_pairs", no_pair_list)
+        with pytest.raises(InvalidInputError, match="expected 1999000 entries, got 1"):
+            LevelSystem.resonant(tuple(range(2000)), {(0, 1): 1.0})
+
     def test_rejects_negative_coupling(self):
         with pytest.raises(InvalidInputError):
             LevelSystem.resonant((0.0, 1.0), {(0, 1): -0.5})
@@ -229,6 +238,21 @@ class TestConditions:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(InvalidInputError):
             check_resonance(THREE_LEVEL, 0.0)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-20, 1e20])
+    def test_default_verdict_does_not_depend_on_the_frequency_unit(self, s):
+        # a consistency residual of 2 s: at s = 1e-20 a tolerance floored at one
+        # unit (1e-9) passed it, and trajectory ran the closed form at exit 0
+        system = LevelSystem(
+            (0.0, 1.0 * s, 3.0 * s),
+            {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0},
+            {(0, 1): 1.0 * s, (1, 2): 2.0 * s, (0, 2): 5.0 * s},
+        )
+        report = check_consistency(system)
+        assert not report.satisfied and report.tolerance == 1e-9 * (5.0 * s)
+        assert check_resonance(system).satisfied
+        with pytest.raises(ConditionError):
+            trajectory(system, StateVector.basis(3, 0), [1.0 / s])
 
 
 class TestFrameMatrix:
