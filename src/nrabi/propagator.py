@@ -7,7 +7,10 @@ a route only decides how lambda and P are found:
 * two-level (n = 2) and rank-one equal coupling (any n): lambda =
   ((n-1) g, -g) and P = (J/n, I - J/n), J the all-ones matrix,
 * Cayley-Hamilton / Lagrange (n = 3, 4, non-degenerate spectrum): P_j = l_j(Q)
-  = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k), no diagonalization,
+  = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k), no diagonalization;
+  auto dispatch takes it when the radical solvers merged no eigenvalue
+  cluster (``roots``' one 1e-4 threshold), and ``DEGENERACY_GAP_RTOL`` gates
+  only a forced Lagrange route and ``lagrange_coeffs``,
 * diagonalization by the closed-form 3x3 eigenvectors (each read off the
   adjugate adj(lambda I - Q)) or LAPACK ``eigh`` (any n): P_j = v_j v_j^T.
 
@@ -392,9 +395,9 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
     Automatic dispatch: n = 2 goes to the two-level form; an equal-coupling
     pattern goes to the rank-one form (its spectrum is maximally degenerate,
     so the polynomial route would divide by zero); n = 3, 4 use the
-    Lagrange expansion when the eigenvalue gaps are safe and Jacobi otherwise;
-    larger n always diagonalizes.  Forcing a method applies it as-is and lets
-    its own preconditions raise.
+    Lagrange expansion when the radical solvers merged no eigenvalue cluster
+    and Jacobi otherwise; larger n always diagonalizes.  Forcing a method
+    applies it as-is and lets its own preconditions raise.
     """
     method = _method(method)
     spectrum = None

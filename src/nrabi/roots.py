@@ -7,7 +7,11 @@ trigonometric form for the cubic, and Ferrari's split of the quartic into two
 real quadratics, whose shift is the largest root of a resolvent cubic solved
 by Viete too.  Roots closer than 1e-4 of the spectral radius are reported as
 one repeated value (see ``_finish_spectrum``), so every real symmetric 3x3
-and 4x4 Q gets a spectrum.
+and 4x4 Q gets a spectrum.  That merge is the one degeneracy verdict: auto
+dispatch in ``propagator`` takes the Lagrange route exactly when no cluster
+was merged (``degeneracy_gap > 0``).  A Q whose largest coupling lies outside
+[2^-150, 2^150] is solved scaled by a power of two (``scale_exponent``), so
+no intermediate of the formulas under- or overflows.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ class QuarticCoeffs:
 class Spectrum:
     """All-real eigenvalues sorted descending, with degeneracy metadata.
 
-    ``degeneracy_gap`` is the minimum pairwise absolute eigenvalue difference
-    (0 when the radical solvers merged a cluster); it drives the choice between polynomial-coefficient and diagonalization
-    propagator paths.
+    ``degeneracy_gap`` is the minimum pairwise absolute eigenvalue difference,
+    0 when the radical solvers merged a cluster: auto dispatch then
+    diagonalizes instead of taking the Lagrange route.
     """
 
     eigenvalues: np.ndarray
@@ -192,7 +196,7 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
     slope = _derivative(poly)
     lam = sorted((_newton(poly, slope, x, 1) for x in roots), reverse=True)
     radius = max(map(abs, lam))
-    bound = _RESIDUAL_RTOL * max(1.0, radius ** degree)
+    bound = _RESIDUAL_RTOL * radius ** degree
     for x in lam:
         if not abs(_horner(poly, x)) <= bound:
             raise InvalidInputError(

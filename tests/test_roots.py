@@ -125,6 +125,13 @@ class TestCubicSolver:
         with pytest.raises(InvalidInputError):
             solve_cubic_depressed(CubicCoeffs(-3.0, 2.0))
 
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-40])
+    def test_complex_roots_rejected_at_any_scale(self, s):
+        # lambda^3 - lambda - 1000 has one real root; scaled by s, the residual
+        # bound was absolute below radius 1, and s = 1e-6 passed with wrong roots
+        with pytest.raises(InvalidInputError, match="residual bound"):
+            solve_cubic_depressed(CubicCoeffs(s * s, 1000.0 * s ** 3))
+
     @given(finite, finite, finite)
     def test_matches_companion_oracle(self, g1, g2, g3):
         coeffs = CubicCoeffs(
