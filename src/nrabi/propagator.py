@@ -296,14 +296,18 @@ def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDeco
     ``closed_form_spectrum`` merges: degeneracy error.  So is a residual
     ||Q v - lambda v|| above 1e-8 ||Q||, or columns max |V^T V - I| above
     1e-10 from orthonormal (a near-degenerate spectrum that was not merged,
-    say from another solver).
+    say from another solver).  A Q outside the radical solvers' safe band is
+    scaled with its eigenvalues by 2^-e first (``roots.scale_exponent``).
     """
     if q.n != 3:
         raise InvalidInputError(f"closed-form eigenvectors need n = 3, got n = {q.n}")
-    lams = spectrum.eigenvalues.tolist()
+    lams = spectrum.eigenvalues
     if len(lams) != 3:
         raise InvalidInputError(f"closed-form eigenvectors need 3 eigenvalues, got {len(lams)}")
-    a = q.entries
+    # the vectors are homogeneous of degree 0 in (Q, lambda): from the pair
+    # scaled as the radical solvers scale it, no product under- or overflows
+    e = scale_exponent(q)
+    a, lams = (q.entries, lams.tolist()) if not e else (np.ldexp(q.entries, -e), np.ldexp(lams, -e).tolist())
     g1, g2, g3 = a[0, 1].item(), a[1, 2].item(), a[0, 2].item()
     gsq = g1 * g1 + g2 * g2 + g3 * g3
     norm_q = float(np.linalg.norm(a))
