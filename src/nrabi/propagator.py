@@ -213,6 +213,16 @@ class SpectralPlan:
         return self._apply(psi[:, None], times, frame)[:, :, 0]
 
 
+def _scaled(q: CouplingMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (Q, lambda) times 2^-e, as the radical solvers scale Q: the Lagrange
+    # projectors and the eigenvectors are homogeneous of degree 0 in the
+    # pair, and built from it no product under- or overflows; e = 0 in the band
+    e = scale_exponent(q)
+    if not e:
+        return q.entries, lam
+    return np.ldexp(q.entries, -e), np.ldexp(lam, -e)
+
+
 def _lagrange_nodes(spectrum: Spectrum) -> np.ndarray:
     # the eigenvalues as interpolation nodes, whose every gap is a divisor
     if not spectrum.degeneracy_gap > DEGENERACY_GAP_RTOL * spectrum.spectral_radius:
@@ -301,13 +311,12 @@ def eigenvectors_three_level(q: CouplingMatrix, spectrum: Spectrum) -> EigenDeco
     """
     if q.n != 3:
         raise InvalidInputError(f"closed-form eigenvectors need n = 3, got n = {q.n}")
-    lams = spectrum.eigenvalues
-    if len(lams) != 3:
-        raise InvalidInputError(f"closed-form eigenvectors need 3 eigenvalues, got {len(lams)}")
-    # the vectors are homogeneous of degree 0 in (Q, lambda): from the pair
-    # scaled as the radical solvers scale it, no product under- or overflows
-    e = scale_exponent(q)
-    a, lams = (q.entries, lams.tolist()) if not e else (np.ldexp(q.entries, -e), np.ldexp(lams, -e).tolist())
+    if len(spectrum.eigenvalues) != 3:
+        raise InvalidInputError(
+            f"closed-form eigenvectors need 3 eigenvalues, got {len(spectrum.eigenvalues)}"
+        )
+    a, lams = _scaled(q, spectrum.eigenvalues)
+    lams = lams.tolist()
     g1, g2, g3 = a[0, 1].item(), a[1, 2].item(), a[0, 2].item()
     gsq = g1 * g1 + g2 * g2 + g3 * g3
     norm_q = float(np.linalg.norm(a))
@@ -435,12 +444,9 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
         if spectrum is None:
             spectrum = closed_form_spectrum(q)
         # P_j = l_j(Q) = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k): one
-        # batched product per factor over the shifted stack, then one division.
-        # P_j is homogeneous of degree 0 in (Q, lambda), so it is built from
-        # the pair the radical solvers scaled, where no product under- or overflows
+        # batched product per factor over the shifted stack, then one division
         lam = _lagrange_nodes(spectrum)
-        e = scale_exponent(q)
-        a, nodes = (q.entries, lam) if not e else (np.ldexp(q.entries, -e), np.ldexp(lam, -e))
+        a, nodes = _scaled(q, lam)
         others = _others(len(lam))
         factors = (a - nodes[:, None, None] * np.eye(q.n))[others]  # (m, m - 1, n, n)
         lams = nodes.tolist()

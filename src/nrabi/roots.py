@@ -88,21 +88,17 @@ def _six_couplings(q: CouplingMatrix) -> tuple[float, ...]:
     return a.item(0, 1), a.item(1, 2), a.item(2, 3), a.item(0, 2), a.item(1, 3), a.item(0, 3)
 
 
-def _binary_exponent(couplings: tuple[float, ...]) -> int:
-    # 0 when max|g| is in the safe band, else its binary exponent e, so that
-    # 2^-e Q has max|g| in [1/2, 1); scaling by a power of two is exact
-    top = max(map(abs, couplings))
+def scale_exponent(q: CouplingMatrix) -> int:
+    """The e with which ``closed_form_spectrum`` solves 2^-e Q in place of Q.
+
+    0 when max|Q| lies in [2^-150, 2^150] or Q = 0, else the binary exponent
+    of max|Q|, so that 2^-e Q has max|Q| in [1/2, 1); scaling by a power of
+    two is exact.
+    """
+    top = max(map(abs, q.entries.ravel().tolist()))
     if top == 0.0 or _SAFE_BAND[0] <= top <= _SAFE_BAND[1]:
         return 0
     return math.frexp(top)[1]
-
-
-def scale_exponent(q: CouplingMatrix) -> int:
-    """The e with which ``closed_form_spectrum`` solves 2^-e Q in place of a 3x3 or 4x4 Q.
-
-    0 when max|Q| lies in [2^-150, 2^150], else the binary exponent of max|Q|.
-    """
-    return _binary_exponent(_three_couplings(q) if q.n == 3 else _six_couplings(q))
 
 
 def _cubic(g1: float, g2: float, g3: float) -> CubicCoeffs:
@@ -308,7 +304,7 @@ def closed_form_spectrum(q: CouplingMatrix) -> Spectrum:
         raise InvalidInputError(
             f"closed-form spectra exist only for n = 3 or 4, got n = {q.n}"
         )
-    e = _binary_exponent(g)
+    e = scale_exponent(q)
     if not e:
         return solve(coefficients(*g))
     scaled = solve(coefficients(*(math.ldexp(x, -e) for x in g)))
