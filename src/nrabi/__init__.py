@@ -1,5 +1,7 @@
 """n-level atoms under multi-laser drive: closed-form and numerical propagators."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConditionError,
     DegenerateSpectrumError,
@@ -60,53 +62,6 @@ from .roots import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionError",
-    "ConditionReport",
-    "CouplingMatrix",
-    "CubicCoeffs",
-    "DegenerateSpectrumError",
-    "EigenDecomposition",
-    "IntegrationConfig",
-    "IntegrationError",
-    "InvalidInputError",
-    "LagrangeCoeffs",
-    "LevelSystem",
-    "Method",
-    "Propagator",
-    "QuarticCoeffs",
-    "SpectralPlan",
-    "Spectrum",
-    "StateVector",
-    "TimeSeries",
-    "Trajectory",
-    "build_q",
-    "char_poly_3",
-    "char_poly_4",
-    "check_consistency",
-    "check_resonance",
-    "closed_form_spectrum",
-    "default_condition_tolerance",
-    "eigenvectors_three_level",
-    "frame_matrix",
-    "full_solution",
-    "hamiltonian_full",
-    "hamiltonian_rwa",
-    "integrate_schrodinger",
-    "jacobi_eigendecompose",
-    "lagrange_coeffs",
-    "propagator",
-    "propagator_equal_coupling",
-    "propagator_from_eigen",
-    "propagator_lagrange",
-    "propagator_two_level",
-    "reference_expm",
-    "rk4_step",
-    "rotating_frame_hamiltonian",
-    "rwa_error",
-    "solve_cubic_depressed",
-    "solve_quartic",
-    "spectral_plan",
-    "trajectory",
-    "__version__",
-]
+# every name imported above, in sorted order: a public name is added or dropped in one place
+__all__ = [name for name, value in sorted(globals().items()) if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -3,14 +3,17 @@
 Scenario files are flat JSON (schema in the README); trajectory output is CSV
 with a fixed header, 17-significant-digit values, LF line endings and
 ``#``-prefixed footer comments.  Exit codes: 0 success, 1 I/O or parse
-failure, 2 resonance/consistency violation.
+failure, 2 resonance/consistency violation.  The couplings entries are
+checked a column at a time; a refusal names the first faulty entry and field.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -25,7 +28,10 @@ from .errors import (
 from .model import (
     LevelSystem,
     StateVector,
+    _INT_TYPES,
+    _column,
     _count,
+    _first_refused,
     _real,
     build_q,
     check_consistency,
@@ -40,6 +46,7 @@ from .propagator import Method, eigenvectors_three_level, jacobi_eigendecompose
 from .roots import closed_form_spectrum
 
 _DEFAULT_SAMPLES = 1001
+_FIELDS = operator.itemgetter("i", "j", "g", "omega")
 _MAX_SAMPLES = 100_000
 
 
@@ -85,25 +92,44 @@ def _integer(value, what: str, minimum: int) -> int:
         raise ScenarioError(str(exc)) from None
 
 
+def _coupling_columns(entries: list) -> tuple[list, list, list, dict]:
+    """The pairs (i, j), g and omega of the couplings entries, and phi by pair.
+
+    The rules of ``_check_coupling`` run a column at a time; the first entry
+    that breaks one is handed to it, which raises.
+    """
+    fields = []
+    with contextlib.suppress(KeyError, TypeError):  # that entry's check raises it again, in order
+        fields.extend(map(_FIELDS, entries))  # up to the first entry without all four
+    i, j, g, omega = map(list, zip(*fields)) if fields else ([], [], [], [])
+    i, j = ([int(x) if type(x) is float and x.is_integer() else x for x in c] for c in (i, j))  # as _integer
+    phi = [item["phi"] if "phi" in item else 0.0 for item in entries[: len(fields)]]
+    counts = _column(i + j, _INT_TYPES).reshape(2, -1) >= 0
+    reals = np.isfinite(_column(g + omega + phi).reshape(3, -1))
+    k = _first_refused(counts.all(axis=0) & reals.all(axis=0), list(zip(i, j)))
+    if k < len(entries):
+        _check_coupling(k, entries[k], set(zip(i[:k], j[:k])))
+    pairs = list(zip(map(int, i), map(int, j)))
+    return pairs, g, omega, {pair: p for pair, p, item in zip(pairs, phi, entries) if "phi" in item}
+
+
+def _check_coupling(k: int, item, earlier: set) -> None:
+    # the rules of couplings[k] in their order, the first broken one raising
+    pair = tuple(_integer(item[key], f"couplings[{k}].{key}", 0) for key in "ij")
+    if pair in earlier:
+        raise ScenarioError(f"couplings[{k}] repeats the pair {pair}")
+    for key in ("g", "omega", "phi") if "phi" in item else ("g", "omega"):
+        _number(item[key], f"couplings[{k}].{key}")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         raw_levels = data["levels"]
         if not isinstance(raw_levels, (list, tuple)):
             raise ScenarioError(f"levels must be an array of numbers, got {raw_levels!r}")
         levels = [_number(x, f"levels[{k}]") for k, x in enumerate(raw_levels)]
-        entries = data["couplings"]
-        couplings = {}
-        freqs = {}
-        phases = {}
-        for k, item in enumerate(entries):
-            pair = tuple(_integer(item[key], f"couplings[{k}].{key}", 0) for key in "ij")
-            if pair in couplings:
-                raise ScenarioError(f"couplings[{k}] repeats the pair {pair}")
-            couplings[pair] = _number(item["g"], f"couplings[{k}].g")
-            freqs[pair] = _number(item["omega"], f"couplings[{k}].omega")
-            if "phi" in item:
-                phases[pair] = _number(item["phi"], f"couplings[{k}].phi")
-        system = LevelSystem(tuple(levels), couplings, freqs, phases)
+        pairs, g, omega, phases = _coupling_columns(list(data["couplings"]))
+        system = LevelSystem(tuple(levels), dict(zip(pairs, g)), dict(zip(pairs, omega)), phases)
         raw_initial = data["initial"]
         if isinstance(raw_initial, (int, float)) and not isinstance(raw_initial, bool):
             initial: int | tuple = _integer(raw_initial, "initial", 0)
@@ -481,26 +507,11 @@ def cmd_compare(
         abs_tol=atol if atol is not None else IntegrationConfig.abs_tol,
     )
     runs = {}
-    if scenario.t_end == 0.0:
-        rwa_pops = closed.copy()
-        full_pops = closed.copy()
-    else:
-        runs["rwa"] = integrate_schrodinger(
-            lambda t: hamiltonian_rwa(stripped, t),
-            psi0,
-            scenario.t_end,
-            scenario.samples,
-            cfg,
-        )
-        runs["full"] = integrate_schrodinger(
-            lambda t: hamiltonian_full(system, t),
-            psi0,
-            scenario.t_end,
-            scenario.samples,
-            cfg,
-        )
-        rwa_pops = runs["rwa"].populations
-        full_pops = runs["full"].populations
+    if scenario.t_end > 0.0:
+        for tag, build, driven in (("rwa", hamiltonian_rwa, stripped), ("full", hamiltonian_full, system)):
+            h = functools.partial(build, driven)
+            runs[tag] = integrate_schrodinger(h, psi0, scenario.t_end, scenario.samples, cfg)
+    rwa_pops, full_pops = (runs[tag].populations if runs else closed.copy() for tag in ("rwa", "full"))
 
     header = ["t"]
     for tag in ("closed", "rwa", "full"):
@@ -516,6 +527,8 @@ def cmd_compare(
         f"H evaluations = {run.h_evals}"
         for tag, run in runs.items()
     ]
+    if system.has_phases():
+        footer.append("closed and rwa are phase-free: the drive phases act on full only")
     _write_csv(out_path, header, rows, footer)
     return 0
 

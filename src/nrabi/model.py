@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate
+from functools import cache, cached_property
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -42,16 +42,22 @@ def _real(x, what: str) -> float:
 
     A real is an int or a float (numpy's too, not a bool) with a finite
     value; an int past the float range is not finite.  With ``_count`` and
-    ``_as_times``, the rule for every number the package takes from outside.
+    ``_as_times``, the rule for every number the package takes from outside;
+    ``_column`` applies it to a column.
     """
     if isinstance(x, _REAL_TYPES) and type(x) is not bool:  # np.bool_ is not an np.integer
-        try:
-            value = float(x)
-        except OverflowError:
-            value = math.inf
+        value = _float(x)
         if math.isfinite(value):
             return value
     raise InvalidInputError(f"{what} must be a finite int or float, got {_shown(x)}")
+
+
+def _float(x) -> float:
+    # inf for an int past the float range
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def _count(x, what: str, minimum: int, maximum: int | None = None) -> int:
@@ -72,6 +78,22 @@ def _shown(x) -> str:
     if isinstance(x, int) and x.bit_length() > 64:
         return f"an integer of {x.bit_length()} bits"
     return repr(x)
+
+
+def _column(items, types=_REAL_TYPES) -> np.ndarray:
+    """``_real`` over a column, or with ``_INT_TYPES`` the type test of ``_count``:
+    the items as floats, NaN where one is of another type (a bool always is).
+
+    The type test runs once per type present, and item by item only when a
+    type present may fail it.
+    """
+    items = list(items)
+    if not all(issubclass(t, types) and t is not bool for t in set(map(type, items))):
+        items = [x if isinstance(x, types) and type(x) is not bool else math.nan for x in items]
+    try:
+        return np.array(items, dtype=float)
+    except (OverflowError, RuntimeWarning):  # an int past the float range; a long double
+        return np.array([_float(x) for x in items])
 
 
 def _as_times(times) -> np.ndarray:
@@ -114,8 +136,17 @@ def _level_pairs(n: int) -> list[Pair]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+@cache
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the pairs i < j in row-major order as (rows, cols), shared read-only per n
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 class _PairArrays(NamedTuple):
-    """Per-pair columns of a LevelSystem, in ``couplings`` order, read-only."""
+    """Per-pair columns of a LevelSystem, in ``drive_frequencies`` order, read-only."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -123,30 +154,55 @@ class _PairArrays(NamedTuple):
     omega: np.ndarray
     phi: np.ndarray
     h0: np.ndarray  # diag(0, Delta_1, ..., Delta_{n-1}) as a complex matrix
+    adjacent: np.ndarray  # the rows of the pairs (i, i + 1), i = 0..n-2
 
 
-def _canonical_pairs(values, n: int, what: str) -> dict[Pair, float]:
-    """Normalize a {(i, j): value} map to i < j keys: indices are counts, values reals."""
-    out: dict[Pair, float] = {}
+def _pair_column(values, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A {(i, j): value} map as columns in map order: each pair's row-major
+    position among the pairs i < j < n, and each value.
+
+    The rules of ``_check_pair`` run a column at a time; the first entry that
+    breaks one is handed to it, which raises.
+    """
+    entries = values.items()
+    if not entries:  # the usual phases: skip a dozen numpy calls
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    keys = [k if isinstance(k, tuple) and len(k) == 2 else (-1, -1) for k in values]
+    # the indices as counts, each outside [0, n) as -1 or n
+    ij = np.fmax(np.fmin(_column(chain.from_iterable(keys), _INT_TYPES), n), -1).astype(np.int64)
+    i, j = np.sort(ij.reshape(-1, 2), axis=1).T
+    v = _column(values.values())
+    at = (2 * n - 3 - i) * i // 2 + j - 1  # i (2n - i - 3) is even
+    k = _first_refused((i >= 0) & (i < j) & (j < n) & np.isfinite(v), at.tolist())
+    if k < len(at):
+        _check_pair(*list(entries)[k], n, what, set(zip(i[:k].tolist(), j[:k].tolist())))
+    return at, v
+
+
+def _first_refused(ok: np.ndarray, keys: list) -> int:
+    """The first entry that failed a column rule or repeats an earlier key, else len(keys)."""
+    if ok.all() and len(set(keys)) == len(keys):
+        return len(keys)
+    first: dict = {}
+    return next(k for k, (good, key) in enumerate(zip(ok.tolist(), keys)) if not good or first.setdefault(key, k) != k)
+
+
+def _check_pair(key, value, n: int, what: str, earlier: set) -> None:
+    # one entry's rules in order, the first broken one raising; earlier: the sorted pairs before it
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
     index = f"{what} key index"
-    for key, value in values.items():
-        if not (isinstance(key, tuple) and len(key) == 2):
-            raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
-        i, j = sorted((_count(key[0], index, 0), _count(key[1], index, 0)))
-        if i == j or j >= n:
-            raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
-        if (i, j) in out:
-            raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
-        out[(i, j)] = _real(value, f"{what}[{i},{j}]")
-    return out
+    i, j = sorted((_count(key[0], index, 0), _count(key[1], index, 0)))
+    if i == j or j >= n:
+        raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
+    if (i, j) in earlier:
+        raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
+    _real(value, f"{what}[{i},{j}]")
 
 
 def _require_every_pair(name: str, count: int, n: int) -> None:
-    expected = n * (n - 1) // 2
-    if count != expected:
-        raise InvalidInputError(
-            f"{name} must list every pair: expected {expected} entries, got {count}"
-        )
+    if count != n * (n - 1) // 2:
+        raise InvalidInputError(f"{name} must list every pair: expected {n * (n - 1) // 2} entries, got {count}")
 
 
 def _energies(values) -> tuple[float, ...]:
@@ -163,8 +219,11 @@ class LevelSystem:
     pair (i, j) with i < j; couplings and frequencies must cover every pair.
     All quantities share one angular-frequency unit; time is its inverse.
 
-    The three maps are stored read-only, so a system never changes after
-    construction; build a new one to change a coupling.  Whether any phase
+    The three maps are checked a column at a time and kept as one pair table,
+    which Q, the Hamiltonians, the frame frequencies and the condition checks
+    read; the maps themselves are stored read-only, each in its input's order,
+    so a system never changes after construction; build a new one to change
+    a coupling.  Whether any phase
     is nonzero is therefore decided once, at construction, and its
     t-independent closed-form work (condition reports, Q, frame
     frequencies, spectral plans) once per system, and both are reused by
@@ -185,35 +244,44 @@ class LevelSystem:
         if any(energies[j] <= energies[j - 1] for j in range(1, n)):
             raise InvalidInputError("energies must be strictly increasing")
 
-        couplings = _canonical_pairs(self.couplings, n, "coupling")
-        freqs = _canonical_pairs(self.drive_frequencies, n, "drive frequency")
-        # the keys are distinct pairs i < j < n, so the count alone tells
-        # whether all n (n - 1) / 2 are there, before any pair list is built
-        for name, table in (("couplings", couplings), ("drive_frequencies", freqs)):
-            _require_every_pair(name, len(table), n)
-        if any(g < 0.0 for g in couplings.values()):
+        g_at, g = _pair_column(self.couplings, n, "coupling")
+        w_at, w = _pair_column(self.drive_frequencies, n, "drive frequency")
+        # the positions are distinct and below n (n - 1) / 2, so the count alone
+        # tells whether all pairs are there, before any pair list is built
+        for name, at in (("couplings", g_at), ("drive_frequencies", w_at)):
+            _require_every_pair(name, len(at), n)
+        if np.count_nonzero(g < 0.0):
             raise InvalidInputError("couplings must be non-negative")
+        p_at, p = _pair_column(self.phases, n, "phase")
 
-        phases = _canonical_pairs(self.phases, n, "phase")
-        phased = any(p != 0.0 for p in phases.values())
-        for pair in _level_pairs(n):
-            phases.setdefault(pair, 0.0)
-
-        object.__setattr__(self, "couplings", MappingProxyType(couplings))
-        object.__setattr__(self, "drive_frequencies", MappingProxyType(freqs))
-        object.__setattr__(self, "phases", MappingProxyType(phases))
+        # one table in drive_frequencies order; each map keeps its input's
+        # order, the phases not given following as zeros in row-major order
+        rows, cols = _upper_triangle(n)
+        slot = np.argsort(w_at)  # position -> row
+        table = np.zeros((3, len(w_at)))
+        columns = ((g_at, g), (w_at, w), (p_at, p))
+        for k, (at, v) in enumerate(columns):
+            table[k, slot[at]] = v
+        table.setflags(write=False)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        maps = [dict(zip(map(pairs.__getitem__, at.tolist()), v.tolist())) for at, v in columns]
+        unset = np.flatnonzero(np.bincount(p_at, minlength=len(pairs)) == 0).tolist()
+        maps[2].update(dict.fromkeys(map(pairs.__getitem__, unset), 0.0))
+        for name, pair_map in zip(("couplings", "drive_frequencies", "phases"), maps):
+            object.__setattr__(self, name, MappingProxyType(pair_map))
         # read by has_phases, trajectory and hamiltonian_rwa
-        object.__setattr__(self, "_phased", phased)
+        object.__setattr__(self, "_phased", bool(np.count_nonzero(p)))
+        h0 = np.diag(self.detunings().astype(complex))
+        i = np.arange(n - 1)
+        adjacent = slot[(2 * n - 1 - i) * i // 2]  # (i, i + 1) at its row-major position
+        for a in (h0, adjacent):
+            a.setflags(write=False)
+        object.__setattr__(self, "_pairs", _PairArrays(rows[w_at], cols[w_at], *table, h0, adjacent))
 
     def __reduce__(self):
         # read-only maps do not pickle; a copy is rebuilt (and re-validated)
         # from plain dicts and starts with empty caches
-        return LevelSystem, (
-            self.energies,
-            dict(self.couplings),
-            dict(self.drive_frequencies),
-            dict(self.phases),
-        )
+        return LevelSystem, (self.energies, *map(dict, (self.couplings, self.drive_frequencies, self.phases)))
 
     @property
     def n(self) -> int:
@@ -232,10 +300,7 @@ class LevelSystem:
         # n (n - 1) / 2 frequencies are built; the constructor checks the rest
         if len(couplings) < len(energies) * (len(energies) - 1) // 2:
             _require_every_pair("couplings", len(couplings), len(energies))
-        freqs = {
-            (i, j): energies[j] - energies[i]
-            for (i, j) in _level_pairs(len(energies))
-        }
+        freqs = {(i, j): energies[j] - energies[i] for (i, j) in _level_pairs(len(energies))}
         return cls(energies, couplings, freqs, dict(phases or {}))
 
     def detunings(self) -> np.ndarray:
@@ -245,12 +310,10 @@ class LevelSystem:
 
     def sequential_frequencies(self) -> np.ndarray:
         """The adjacent-pair drive frequencies omega_l = omega_{l-1,l}, l = 1..n-1."""
-        return np.array(
-            [self.drive_frequencies[(j - 1, j)] for j in range(1, self.n)]
-        )
+        return self._pairs.omega[self._pairs.adjacent]
 
     def max_drive_frequency(self) -> float:
-        return max(map(abs, self.drive_frequencies.values()))
+        return float(np.abs(self._pairs.omega).max())
 
     def has_phases(self) -> bool:
         return self._phased
@@ -259,22 +322,6 @@ class LevelSystem:
         if not self.has_phases():
             return self
         return LevelSystem(self.energies, self.couplings, self.drive_frequencies)
-
-    @cached_property
-    def _pairs(self) -> _PairArrays:
-        # built once per system (the fields are frozen) for the Hamiltonians
-        keys = list(self.couplings)
-        arrays = _PairArrays(
-            np.array([i for i, _ in keys], dtype=np.intp),
-            np.array([j for _, j in keys], dtype=np.intp),
-            np.array([self.couplings[k] for k in keys]),
-            np.array([self.drive_frequencies[k] for k in keys]),
-            np.array([self.phases[k] for k in keys]),
-            np.diag(self.detunings().astype(complex)),
-        )
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
 
     # The closed-form memo: what ``trajectory`` needs that does not depend on
     # t.  A cached_property stores nothing when it raises, so a failure is
@@ -293,8 +340,7 @@ class LevelSystem:
     def _frame_frequencies(self) -> np.ndarray:
         # (0, omega_1, omega_1 + omega_2, ...): the frame phase rates of U(t),
         # summed left to right as np.cumsum does
-        seq = (self.drive_frequencies[(j - 1, j)] for j in range(1, self.n))
-        acc = np.array([0.0, *accumulate(seq)])
+        acc = np.array([0.0, *accumulate(self.sequential_frequencies().tolist())])
         acc.setflags(write=False)
         return acc
 
@@ -411,11 +457,10 @@ def build_q(system: LevelSystem) -> CouplingMatrix:
 
     Q depends only on the couplings, not on energies, frequencies or phases.
     """
-    n = system.n
-    q = np.zeros((n, n))
-    for (i, j), g in system.couplings.items():
-        q[i, j] = g
-        q[j, i] = g
+    p = system._pairs
+    q = np.zeros((system.n, system.n))
+    q[p.rows, p.cols] = p.g
+    q[p.cols, p.rows] = p.g
     return CouplingMatrix(q)
 
 
@@ -436,12 +481,8 @@ def check_resonance(system: LevelSystem, tol: float | None = None) -> ConditionR
     """
     tol = _tolerance(system, tol)
     e = system.energies
-    residuals = {
-        f"omega[{j - 1},{j}]": abs(
-            system.drive_frequencies[(j - 1, j)] - (e[j] - e[j - 1])
-        )
-        for j in range(1, system.n)
-    }
+    seq = system.sequential_frequencies().tolist()
+    residuals = {f"omega[{j - 1},{j}]": abs(w - (e[j] - e[j - 1])) for j, w in enumerate(seq, 1)}
     worst = max(residuals.values())
     return ConditionReport(worst <= tol, residuals, worst, tol)
 
@@ -457,10 +498,11 @@ def check_consistency(system: LevelSystem, tol: float | None = None) -> Conditio
     vacuously.  ``tol`` is as in ``check_resonance``.
     """
     tol = _tolerance(system, tol)
+    p = system._pairs
     acc = system._frame_frequencies.tolist()
     residuals = {
         f"epsilon[{i},{j}]": abs(w - (acc[j] - acc[i]))
-        for (i, j), w in system.drive_frequencies.items()
+        for i, j, w in zip(p.rows.tolist(), p.cols.tolist(), p.omega.tolist())
         if j - i >= 2
     }
     worst = max(residuals.values(), default=0.0)

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidInputError
-from .model import _MAX_LEVELS, CouplingMatrix, _as_times, _count, _real
+from .model import _MAX_LEVELS, CouplingMatrix, _as_times, _count, _real, _upper_triangle
 from .roots import Spectrum, closed_form_spectrum, scale_exponent
 
 #: relative eigenvalue gap below which the Lagrange gap products lose too
@@ -113,7 +113,8 @@ class SpectralPlan:
     ``method`` is the route that runs.  Every route but ``reference`` holds
     Sylvester's form exp(-itQ) = sum_j e^{-it lambda_j} P_j: ``eigenvalues``
     lambda, shape (m,), and real symmetric ``projectors`` P, shape (m, n, n),
-    that sum to I.  ``q`` holds the entries of Q for the reference exponential.
+    that sum to I, both finite or InvalidInputError.  ``q`` holds the entries
+    of Q for the reference exponential.
 
     A plan also keeps two results of its last call, each with the bytes it
     was computed from, so that a call with the same frame or the same state
@@ -131,6 +132,13 @@ class SpectralPlan:
     # tuple so a reader never pairs one call's key with another's value
     _rates: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _projected: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the one finite-spectrum gate: an eigenvalue past the float range
+        # (the rank-one (n - 1) g, or eigh's) would make NaN phases
+        for a in (self.eigenvalues, self.projectors):
+            if a is not None and np.count_nonzero(np.isfinite(a)) != a.size:
+                raise InvalidInputError(f"the eigenvalues of {self.n}x{self.n} Q overflow the float range")
 
     def _joined_rates(self, frame) -> np.ndarray | None:
         """-i (lambda, frame) as one complex array, None when there is neither.
@@ -381,24 +389,20 @@ def propagator_from_eigen(
     return _at(_eigen_plan(Method(method), decomp), t)
 
 
-@functools.cache
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # row-major (i, j) with i < j, built once per n and shared read-only
-    rows, cols = np.triu_indices(n, k=1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def equal_coupling_value(q: CouplingMatrix) -> float | None:
-    """The shared coupling g when all off-diagonal entries agree within 1e-12 relative."""
+    """The shared coupling g when all off-diagonal entries agree within 1e-12 relative.
+
+    g is their mean, taken over 2^-e Q outside the radical solvers' safe band
+    (``roots.scale_exponent``), so that the sum does not overflow.
+    """
     off = q.entries[_upper_triangle(q.n)].tolist()
     lo, hi = min(off), max(off)
     largest = max(hi, -lo)  # the largest |entry|
     if largest == 0.0:
         return 0.0
     if hi - lo <= _EQUAL_COUPLING_RTOL * largest:
-        return float(np.mean(off))
+        e = scale_exponent(q)
+        return math.ldexp(float(np.mean(np.ldexp(off, -e))), e)
     return None
 
 
@@ -413,11 +417,11 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
     applies it as-is and lets its own preconditions raise.
     """
     method = _method(method)
-    spectrum = None
+    spectrum = g = None
     if method is None:
         if q.n == 2:
             method = Method.TWO_LEVEL
-        elif equal_coupling_value(q) is not None:
+        elif (g := equal_coupling_value(q)) is not None:
             method = Method.EQUAL_COUPLING
         elif q.n in (3, 4):
             spectrum = closed_form_spectrum(q)
@@ -433,7 +437,7 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
             raise InvalidInputError(f"two-level method needs n = 2, got n = {q.n}")
         return _rank_one_plan(method, 2, float(q.entries[0, 1]))
     if method is Method.EQUAL_COUPLING:
-        g = equal_coupling_value(q)
+        g = equal_coupling_value(q) if g is None else g  # auto dispatch found it already
         if g is None:
             raise InvalidInputError("couplings are not all equal")
         return _rank_one_plan(method, q.n, g)

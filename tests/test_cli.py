@@ -850,3 +850,26 @@ class TestMainEntry:
             capture_output=True,
         )
         assert bad.returncode == 2
+
+
+class TestCompareDroppedPhases:
+    """The closed and RWA columns run phase-free, and the footer says so."""
+
+    def _compare(self, tmp_path, phi):
+        pair = {"i": 0, "j": 1, "g": 1.0, "omega": 1.0}
+        if phi is not None:
+            pair["phi"] = phi
+        data = {"levels": [0.0, 1.0], "couplings": [pair], "initial": 0, "t_end": 1.0, "samples": 11}
+        out = tmp_path / "cmp.csv"
+        assert cmd_compare(write_scenario(tmp_path, "s.json", data), str(out)) == 0
+        return out
+
+    def test_phased_footer_names_the_phase_free_columns(self, tmp_path):
+        _, _, footer = read_csv(self._compare(tmp_path, 0.5))
+        assert footer[-1] == "# closed and rwa are phase-free: the drive phases act on full only"
+
+    @pytest.mark.parametrize("phi", [None, 0.0])
+    def test_phase_free_output_has_no_phase_line(self, tmp_path, phi):
+        text = self._compare(tmp_path, phi).read_bytes()
+        assert b"phase" not in text
+        assert text == self._compare(tmp_path, None).read_bytes()

@@ -9,6 +9,8 @@ other exception and no result, with a message that names the argument.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nrabi import (
     InvalidInputError,
@@ -19,6 +21,8 @@ from nrabi import (
     propagator_equal_coupling,
     propagator_two_level,
 )
+from nrabi import cli, model
+from nrabi.model import _count, _real
 from nrabi.oracle import IntegrationConfig, integrate_schrodinger
 from nrabi.roots import CubicCoeffs, QuarticCoeffs, solve_cubic_depressed, solve_quartic
 
@@ -141,3 +145,182 @@ def test_roots_past_the_float_range(solve, coeffs):
     # r ** 3 (or p ** 3) raised a bare OverflowError
     with pytest.raises(InvalidInputError, match="overflow the float range"):
         solve(coeffs)
+
+
+# ---- refusal parity of the pair tables -------------------------------------
+# The reference copies below are the per-entry loops the column checks
+# replaced: each entry's rules in order, the first broken one raising.
+
+
+def _reference_pairs(values, n, what):
+    out = {}
+    index = f"{what} key index"
+    for key, value in values.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
+        i, j = sorted((_count(key[0], index, 0), _count(key[1], index, 0)))
+        if i == j or j >= n:
+            raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
+        if (i, j) in out:
+            raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
+        out[(i, j)] = _real(value, f"{what}[{i},{j}]")
+    return out
+
+
+def _reference_level_system(n, couplings, freqs, phases):
+    couplings = _reference_pairs(couplings, n, "coupling")
+    freqs = _reference_pairs(freqs, n, "drive frequency")
+    for name, table in (("couplings", couplings), ("drive_frequencies", freqs)):
+        if len(table) != n * (n - 1) // 2:
+            raise InvalidInputError(
+                f"{name} must list every pair: expected {n * (n - 1) // 2} entries, got {len(table)}"
+            )
+    if any(g < 0.0 for g in couplings.values()):
+        raise InvalidInputError("couplings must be non-negative")
+    phases = _reference_pairs(phases, n, "phase")
+    for pair in [(i, j) for i in range(n) for j in range(i + 1, n)]:
+        phases.setdefault(pair, 0.0)
+    return couplings, freqs, phases
+
+
+def _reference_scenario_pairs(levels, entries):
+    try:
+        couplings, freqs, phases = {}, {}, {}
+        for k, item in enumerate(entries):
+            pair = tuple(cli._integer(item[key], f"couplings[{k}].{key}", 0) for key in "ij")
+            if pair in couplings:
+                raise cli.ScenarioError(f"couplings[{k}] repeats the pair {pair}")
+            couplings[pair] = cli._number(item["g"], f"couplings[{k}].g")
+            freqs[pair] = cli._number(item["omega"], f"couplings[{k}].omega")
+            if "phi" in item:
+                phases[pair] = cli._number(item["phi"], f"couplings[{k}].phi")
+        return _reference_level_system(len(levels), couplings, freqs, phases)
+    except cli.ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise cli.ScenarioError(f"invalid scenario: {exc}") from exc
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+BAD_KEYS = [(0,), (0, 1, 2), 0, "01"]
+BAD_INDICES = [True, np.bool_(False), "1", 2.5]
+BAD_VALUES = [True, "1", float("nan"), 10**400]
+FAULTS = ["key", "index", "range", "diagonal", "duplicate", "value"]
+
+
+@st.composite
+def faulty_tables(draw):
+    """n and lists of (key, value) entries for couplings, frequencies, phases,
+    in random order and orientation, with one to three faults injected."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tables = []
+    for name in ("couplings", "drive_frequencies", "phases"):
+        listed = pairs if name != "phases" else draw(st.lists(st.sampled_from(pairs), unique=True))
+        tables.append(
+            [
+                ((j, i) if draw(st.booleans()) else (i, j), draw(st.floats(0.0, 10.0)))
+                for i, j in draw(st.permutations(listed))
+            ]
+        )
+    for _ in range(draw(st.integers(1, 3))):
+        entries = tables[draw(st.integers(0, 2))]
+        listed = [key for key, _ in entries if type(key) is tuple and {type(x) for x in key} == {int} and len(key) == 2]
+        i, j = draw(st.sampled_from(listed)) if listed else (0, 1)
+        value, side = draw(st.floats(0.0, 10.0)), draw(st.integers(0, 1))
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "key":
+            key = draw(st.sampled_from(BAD_KEYS))
+        elif fault in ("index", "range"):
+            bad = draw(st.sampled_from(BAD_INDICES)) if fault == "index" else draw(st.sampled_from([n, n + 3, 10**30]))
+            key = (bad, j) if side == 0 else (i, bad)
+        elif fault == "diagonal":
+            key = (i, i)
+        elif fault == "duplicate":
+            key = (j, i)
+        else:
+            key, value = (i, j), draw(st.sampled_from(BAD_VALUES))
+        entries.insert(draw(st.integers(0, len(entries))), (key, value))
+    return n, tables
+
+
+@given(faulty_tables())
+def test_level_system_refuses_as_the_per_entry_loops(case):
+    n, tables = case
+    maps = [dict(entries) for entries in tables]
+    energies = tuple(float(k) for k in range(n))
+    got = _outcome(lambda: LevelSystem(energies, *maps))
+    expected = _outcome(lambda: _reference_level_system(n, *maps))
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert [list(m.items()) for m in (got.couplings, got.drive_frequencies, got.phases)] == [
+            list(m.items()) for m in expected
+        ]
+
+
+@st.composite
+def faulty_coupling_entries(draw):
+    """n and a scenario's couplings entries with one to three faults injected."""
+    n, (couplings, _, phases) = draw(faulty_tables())
+    phases = dict(phases)
+    entries = []
+    for key, g in couplings:
+        item = {"g": g, "omega": draw(st.floats(-5.0, 5.0))}
+        if isinstance(key, tuple) and len(key) == 2:
+            item["i"], item["j"] = (float(x) if type(x) is int and draw(st.booleans()) else x for x in key)
+        else:
+            item["i"] = key  # not a count, or a missing "j"
+        if key in phases:
+            item["phi"] = phases[key]
+        entries.append(item)
+    for _ in range(draw(st.integers(0, 2))):
+        if entries:
+            item = dict(draw(st.sampled_from(entries)))
+            if draw(st.booleans()):
+                item[draw(st.sampled_from(["g", "omega", "phi"]))] = draw(st.sampled_from(BAD_VALUES))
+            entries.insert(draw(st.integers(0, len(entries))), item)  # repeats its pair
+    return n, entries
+
+
+@given(faulty_coupling_entries())
+def test_scenario_refuses_as_the_per_entry_loops(case):
+    n, entries = case
+    levels = [float(k) for k in range(n)]
+    data = {"levels": levels, "couplings": entries, "initial": 0, "t_end": 1.0, "samples": 2}
+    got = _outcome(lambda: cli.scenario_from_dict(data))
+    expected = _outcome(lambda: _reference_scenario_pairs(levels, entries))
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert [list(m.items()) for m in (got.system.couplings, got.system.drive_frequencies, got.system.phases)] == [
+            list(m.items()) for m in expected
+        ]
+
+
+def test_parse_checks_the_pair_table_by_column(monkeypatch):
+    # one scalar rule call per pair and table made 2113 _real and 2977
+    # _count calls at n = 32; the pair table is now checked a column at a time
+    calls = {"_real": 0, "_count": 0}
+    for name in calls:
+        rule = getattr(model, name)
+
+        def spy(*args, _rule=rule, _name=name, **kwargs):
+            calls[_name] += 1
+            return _rule(*args, **kwargs)
+
+        for module in (model, cli):
+            monkeypatch.setattr(module, name, spy)
+    n = 32
+    couplings = [
+        {"i": i, "j": j, "g": 1.0 + 0.01 * (i + j), "omega": float(j - i)} for i in range(n) for j in range(i + 1, n)
+    ]
+    data = {"levels": [float(k) for k in range(n)], "couplings": couplings, "initial": 0, "t_end": 1.0, "samples": 2}
+    assert cli.scenario_from_dict(data).system.n == n
+    assert calls["_real"] + calls["_count"] <= 4 * n  # O(n): the levels and run parameters

@@ -27,6 +27,8 @@ from nrabi import (
     trajectory,
 )
 
+from nrabi.propagator import equal_coupling_value
+
 from conftest import coupling_matrix, random_coupling_matrix
 
 times = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -519,3 +521,48 @@ def test_non_finite_time_raises_before_any_phase(bad, method):
         for call in calls:
             with pytest.raises(InvalidInputError, match="finite"):
                 call()
+
+
+class TestCouplingsNearTheFloatMax:
+    """Every plan's eigenvalues are finite, or the system is refused without a warning."""
+
+    @staticmethod
+    def _system(n, couplings):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return LevelSystem.resonant(tuple(range(n)), dict(zip(pairs, couplings)))
+
+    @pytest.mark.parametrize(
+        "n, couplings, route",
+        [
+            (3, [1.5e308] * 3, Method.EQUAL_COUPLING),  # (n - 1) g = 3e308
+            (5, (np.random.default_rng(5).uniform(0.5, 1.0, 10) * 1e308).tolist(), Method.JACOBI),
+        ],
+        ids=["equal_coupling_n3", "jacobi_n5"],
+    )
+    def test_eigenvalue_past_the_float_range_is_refused(self, n, couplings, route):
+        system = self._system(n, couplings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"eigenvalues of {n}x{n} Q overflow the float range"):
+                trajectory(system, StateVector.basis(n, 0), [0.0, 1e-308])
+            with pytest.raises(InvalidInputError, match="overflow the float range"):
+                spectral_plan(system._q, route)
+
+    def test_equal_couplings_whose_sum_overflows_are_served(self):
+        # 2 g = 1.4e308 is finite, but the sum of the three entries is not
+        system = self._system(3, [7e307] * 3)
+        times = np.array([0.0, 2e-308, 1e-307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = trajectory(system, StateVector.basis(3, 0), times)
+        assert traj.method is Method.EQUAL_COUPLING
+        lam, v = np.linalg.eigh(system._q.entries)
+        expected = (v * np.exp(-1j * times[:, None, None] * lam)) @ v[0]
+        expected *= np.exp(-1j * times[:, None] * system._frame_frequencies)
+        assert np.max(np.abs(traj.amplitudes - expected)) <= 1e-15
+
+    @given(st.floats(1e-40, 1e40), st.lists(st.floats(-1e-13, 1e-13), min_size=6, max_size=6))
+    def test_mean_in_the_safe_band_keeps_its_bits(self, g, spread):
+        q = coupling_matrix([g * (1.0 + d) for d in spread], 4)
+        off = q.entries[np.triu_indices(4, k=1)]
+        assert equal_coupling_value(q) == float(np.mean(off))
