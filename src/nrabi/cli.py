@@ -3,17 +3,17 @@
 Scenario files are flat JSON (schema in the README); trajectory output is CSV
 with a fixed header, 17-significant-digit values, LF line endings and
 ``#``-prefixed footer comments.  Exit codes: 0 success, 1 I/O or parse
-failure, 2 resonance/consistency violation.  The couplings entries are
-checked a column at a time; a refusal names the first faulty entry and field.
+failure, 2 resonance/consistency violation.  The couplings entries go
+straight into ``LevelSystem``'s maps; only when those are refused are the
+entries walked by the file's own rules, so a refusal names the first faulty
+entry and field.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -28,10 +28,7 @@ from .errors import (
 from .model import (
     LevelSystem,
     StateVector,
-    _INT_TYPES,
-    _column,
     _count,
-    _first_refused,
     _real,
     build_q,
     check_consistency,
@@ -46,7 +43,6 @@ from .propagator import Method, eigenvectors_three_level, jacobi_eigendecompose
 from .roots import closed_form_spectrum
 
 _DEFAULT_SAMPLES = 1001
-_FIELDS = operator.itemgetter("i", "j", "g", "omega")
 _MAX_SAMPLES = 100_000
 
 
@@ -92,32 +88,39 @@ def _integer(value, what: str, minimum: int) -> int:
         raise ScenarioError(str(exc)) from None
 
 
-def _coupling_columns(entries: list) -> tuple[list, list, list, dict]:
-    """The pairs (i, j), g and omega of the couplings entries, and phi by pair.
+def _index(x):
+    # x as _integer returns it when it is a count (3.0 counts, as JSON has one
+    # number type, and numpy's ints become ints); else x, for the checks to refuse
+    if type(x) is int:
+        return x
+    if type(x) is float and x.is_integer() or isinstance(x, (int, np.integer)) and type(x) is not bool:
+        return int(x)
+    return x
 
-    The rules of ``_check_coupling`` run a column at a time; the first entry
-    that breaks one is handed to it, which raises.
-    """
-    fields = []
-    with contextlib.suppress(KeyError, TypeError):  # that entry's check raises it again, in order
-        fields.extend(map(_FIELDS, entries))  # up to the first entry without all four
-    i, j, g, omega = map(list, zip(*fields)) if fields else ([], [], [], [])
-    i, j = ([int(x) if type(x) is float and x.is_integer() else x for x in c] for c in (i, j))  # as _integer
-    phi = [item["phi"] if "phi" in item else 0.0 for item in entries[: len(fields)]]
-    counts = _column(i + j, _INT_TYPES).reshape(2, -1) >= 0
-    reals = np.isfinite(_column(g + omega + phi).reshape(3, -1))
-    k = _first_refused(counts.all(axis=0) & reals.all(axis=0), list(zip(i, j)))
-    if k < len(entries):
-        _check_coupling(k, entries[k], set(zip(i[:k], j[:k])))
-    pairs = list(zip(map(int, i), map(int, j)))
-    return pairs, g, omega, {pair: p for pair, p, item in zip(pairs, phi, entries) if "phi" in item}
+
+def _coupling_maps(entries: list) -> tuple[dict, dict, dict]:
+    """g, omega and phi of the couplings entries by pair (i, j), unchecked:
+    KeyError or TypeError at an entry without its fields, ScenarioError when
+    a pair repeats; LevelSystem checks the rest."""
+    g, omega, phi = {}, {}, {}
+    for item in entries:
+        pair = _index(item["i"]), _index(item["j"])
+        g[pair] = item["g"]
+        omega[pair] = item["omega"]
+        if "phi" in item:
+            phi[pair] = item["phi"]
+    if len(g) != len(entries):
+        raise ScenarioError("couplings repeat a pair")
+    return g, omega, phi
 
 
 def _check_coupling(k: int, item, earlier: set) -> None:
-    # the rules of couplings[k] in their order, the first broken one raising
+    # the rules of couplings[k] in their order, the first broken one raising;
+    # earlier: the pairs of the entries before it, to which this one is added
     pair = tuple(_integer(item[key], f"couplings[{k}].{key}", 0) for key in "ij")
     if pair in earlier:
         raise ScenarioError(f"couplings[{k}] repeats the pair {pair}")
+    earlier.add(pair)
     for key in ("g", "omega", "phi") if "phi" in item else ("g", "omega"):
         _number(item[key], f"couplings[{k}].{key}")
 
@@ -128,8 +131,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(raw_levels, (list, tuple)):
             raise ScenarioError(f"levels must be an array of numbers, got {raw_levels!r}")
         levels = [_number(x, f"levels[{k}]") for k, x in enumerate(raw_levels)]
-        pairs, g, omega, phases = _coupling_columns(list(data["couplings"]))
-        system = LevelSystem(tuple(levels), dict(zip(pairs, g)), dict(zip(pairs, omega)), phases)
+        entries = list(data["couplings"])
+        try:
+            system = LevelSystem(tuple(levels), *_coupling_maps(entries))
+        except (ValueError, LookupError, TypeError):
+            # a refusal of the file's own rules, named by entry and field, comes first
+            earlier = set()
+            for k, item in enumerate(entries):
+                _check_coupling(k, item, earlier)
+            raise
         raw_initial = data["initial"]
         if isinstance(raw_initial, (int, float)) and not isinstance(raw_initial, bool):
             initial: int | tuple = _integer(raw_initial, "initial", 0)

@@ -15,7 +15,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -42,8 +42,7 @@ def _real(x, what: str) -> float:
 
     A real is an int or a float (numpy's too, not a bool) with a finite
     value; an int past the float range is not finite.  With ``_count`` and
-    ``_as_times``, the rule for every number the package takes from outside;
-    ``_column`` applies it to a column.
+    ``_as_times``, the rule for every number the package takes from outside.
     """
     if isinstance(x, _REAL_TYPES) and type(x) is not bool:  # np.bool_ is not an np.integer
         value = _float(x)
@@ -78,22 +77,6 @@ def _shown(x) -> str:
     if isinstance(x, int) and x.bit_length() > 64:
         return f"an integer of {x.bit_length()} bits"
     return repr(x)
-
-
-def _column(items, types=_REAL_TYPES) -> np.ndarray:
-    """``_real`` over a column, or with ``_INT_TYPES`` the type test of ``_count``:
-    the items as floats, NaN where one is of another type (a bool always is).
-
-    The type test runs once per type present, and item by item only when a
-    type present may fail it.
-    """
-    items = list(items)
-    if not all(issubclass(t, types) and t is not bool for t in set(map(type, items))):
-        items = [x if isinstance(x, types) and type(x) is not bool else math.nan for x in items]
-    try:
-        return np.array(items, dtype=float)
-    except (OverflowError, RuntimeWarning):  # an int past the float range; a long double
-        return np.array([_float(x) for x in items])
 
 
 def _as_times(times) -> np.ndarray:
@@ -153,41 +136,30 @@ class _PairArrays(NamedTuple):
     g: np.ndarray
     omega: np.ndarray
     phi: np.ndarray
-    h0: np.ndarray  # diag(0, Delta_1, ..., Delta_{n-1}) as a complex matrix
-    adjacent: np.ndarray  # the rows of the pairs (i, i + 1), i = 0..n-2
+    sequential: np.ndarray  # the drive frequencies of the pairs (i, i + 1), i = 0..n-2
 
 
-def _pair_column(values, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """A {(i, j): value} map as columns in map order: each pair's row-major
-    position among the pairs i < j < n, and each value.
+def _pair_map(values, n: int, what: str) -> dict[Pair, float]:
+    """A {(i, j): value} map checked entry by entry: sorted pairs, float values, in map order.
 
-    The rules of ``_check_pair`` run a column at a time; the first entry that
-    breaks one is handed to it, which raises.
+    Two ints and a finite float are taken at once when the sorted pair is new
+    and below n; any other entry goes to ``_check_pair``, which raises at the
+    first rule it breaks.
     """
-    entries = values.items()
-    if not entries:  # the usual phases: skip a dozen numpy calls
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    keys = [k if isinstance(k, tuple) and len(k) == 2 else (-1, -1) for k in values]
-    # the indices as counts, each outside [0, n) as -1 or n
-    ij = np.fmax(np.fmin(_column(chain.from_iterable(keys), _INT_TYPES), n), -1).astype(np.int64)
-    i, j = np.sort(ij.reshape(-1, 2), axis=1).T
-    v = _column(values.values())
-    at = (2 * n - 3 - i) * i // 2 + j - 1  # i (2n - i - 3) is even
-    k = _first_refused((i >= 0) & (i < j) & (j < n) & np.isfinite(v), at.tolist())
-    if k < len(at):
-        _check_pair(*list(entries)[k], n, what, set(zip(i[:k].tolist(), j[:k].tolist())))
-    return at, v
+    out = {}
+    for key, value in values.items():
+        if type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int and isinstance(value, float):
+            i, j = key if key[0] < key[1] else key[::-1]
+            v = float(value)  # np.float64 and other float subclasses, as _real returns them
+            if 0 <= i < j < n and (i, j) not in out and math.isfinite(v):
+                out[i, j] = v
+                continue
+        pair, v = _check_pair(key, value, n, what, out)
+        out[pair] = v
+    return out
 
 
-def _first_refused(ok: np.ndarray, keys: list) -> int:
-    """The first entry that failed a column rule or repeats an earlier key, else len(keys)."""
-    if ok.all() and len(set(keys)) == len(keys):
-        return len(keys)
-    first: dict = {}
-    return next(k for k, (good, key) in enumerate(zip(ok.tolist(), keys)) if not good or first.setdefault(key, k) != k)
-
-
-def _check_pair(key, value, n: int, what: str, earlier: set) -> None:
+def _check_pair(key, value, n: int, what: str, earlier: dict) -> tuple[Pair, float]:
     # one entry's rules in order, the first broken one raising; earlier: the sorted pairs before it
     if not (isinstance(key, tuple) and len(key) == 2):
         raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
@@ -197,7 +169,7 @@ def _check_pair(key, value, n: int, what: str, earlier: set) -> None:
         raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
     if (i, j) in earlier:
         raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
-    _real(value, f"{what}[{i},{j}]")
+    return (i, j), _real(value, f"{what}[{i},{j}]")
 
 
 def _require_every_pair(name: str, count: int, n: int) -> None:
@@ -219,15 +191,15 @@ class LevelSystem:
     pair (i, j) with i < j; couplings and frequencies must cover every pair.
     All quantities share one angular-frequency unit; time is its inverse.
 
-    The three maps are checked a column at a time and kept as one pair table,
-    which Q, the Hamiltonians, the frame frequencies and the condition checks
-    read; the maps themselves are stored read-only, each in its input's order,
-    so a system never changes after construction; build a new one to change
-    a coupling.  Whether any phase
-    is nonzero is therefore decided once, at construction, and its
-    t-independent closed-form work (condition reports, Q, frame
-    frequencies, spectral plans) once per system, and both are reused by
-    every ``trajectory`` call on it.
+    The three maps are checked entry by entry in one pass (``_pair_map``) and
+    stored read-only, each in its input's order, so a system never changes
+    after construction; build a new one to change a coupling.  A pair table
+    built from them in ``drive_frequencies`` order is what Q, the
+    Hamiltonians, the frame frequencies and the condition checks read.
+    Whether any phase is nonzero is therefore decided once, at
+    construction, and its t-independent closed-form work (condition reports,
+    Q, frame frequencies, spectral plans) once per system, and both are
+    reused by every ``trajectory`` call on it.
     """
 
     energies: tuple[float, ...]
@@ -244,39 +216,30 @@ class LevelSystem:
         if any(energies[j] <= energies[j - 1] for j in range(1, n)):
             raise InvalidInputError("energies must be strictly increasing")
 
-        g_at, g = _pair_column(self.couplings, n, "coupling")
-        w_at, w = _pair_column(self.drive_frequencies, n, "drive frequency")
-        # the positions are distinct and below n (n - 1) / 2, so the count alone
-        # tells whether all pairs are there, before any pair list is built
-        for name, at in (("couplings", g_at), ("drive_frequencies", w_at)):
-            _require_every_pair(name, len(at), n)
-        if np.count_nonzero(g < 0.0):
+        couplings = _pair_map(self.couplings, n, "coupling")
+        freqs = _pair_map(self.drive_frequencies, n, "drive frequency")
+        # the keys are distinct pairs i < j < n, so the count alone tells
+        # whether all n (n - 1) / 2 are there, before any pair list is built
+        for name, table in (("couplings", couplings), ("drive_frequencies", freqs)):
+            _require_every_pair(name, len(table), n)
+        if any(g < 0.0 for g in couplings.values()):
             raise InvalidInputError("couplings must be non-negative")
-        p_at, p = _pair_column(self.phases, n, "phase")
-
-        # one table in drive_frequencies order; each map keeps its input's
-        # order, the phases not given following as zeros in row-major order
-        rows, cols = _upper_triangle(n)
-        slot = np.argsort(w_at)  # position -> row
-        table = np.zeros((3, len(w_at)))
-        columns = ((g_at, g), (w_at, w), (p_at, p))
-        for k, (at, v) in enumerate(columns):
-            table[k, slot[at]] = v
-        table.setflags(write=False)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        maps = [dict(zip(map(pairs.__getitem__, at.tolist()), v.tolist())) for at, v in columns]
-        unset = np.flatnonzero(np.bincount(p_at, minlength=len(pairs)) == 0).tolist()
-        maps[2].update(dict.fromkeys(map(pairs.__getitem__, unset), 0.0))
-        for name, pair_map in zip(("couplings", "drive_frequencies", "phases"), maps):
+        phases = _pair_map(self.phases, n, "phase")
+        for pair in _level_pairs(n):  # the phases not given, as zeros in row-major order
+            phases.setdefault(pair, 0.0)
+        for name, pair_map in (("couplings", couplings), ("drive_frequencies", freqs), ("phases", phases)):
             object.__setattr__(self, name, MappingProxyType(pair_map))
-        # read by has_phases, trajectory and hamiltonian_rwa
-        object.__setattr__(self, "_phased", bool(np.count_nonzero(p)))
-        h0 = np.diag(self.detunings().astype(complex))
-        i = np.arange(n - 1)
-        adjacent = slot[(2 * n - 1 - i) * i // 2]  # (i, i + 1) at its row-major position
-        for a in (h0, adjacent):
+
+        # one table in drive_frequencies order
+        rows, cols = zip(*freqs)
+        g, phi = ([m[p] for p in freqs] for m in (couplings, phases))
+        sequential = np.array([freqs[i, i + 1] for i in range(n - 1)])
+        table = _PairArrays(*map(np.array, (rows, cols, g, list(freqs.values()), phi)), sequential)
+        for a in table:
             a.setflags(write=False)
-        object.__setattr__(self, "_pairs", _PairArrays(rows[w_at], cols[w_at], *table, h0, adjacent))
+        object.__setattr__(self, "_pairs", table)
+        # read by has_phases, trajectory and hamiltonian_rwa
+        object.__setattr__(self, "_phased", any(phi))
 
     def __reduce__(self):
         # read-only maps do not pickle; a copy is rebuilt (and re-validated)
@@ -310,7 +273,7 @@ class LevelSystem:
 
     def sequential_frequencies(self) -> np.ndarray:
         """The adjacent-pair drive frequencies omega_l = omega_{l-1,l}, l = 1..n-1."""
-        return self._pairs.omega[self._pairs.adjacent]
+        return self._pairs.sequential.copy()
 
     def max_drive_frequency(self) -> float:
         return float(np.abs(self._pairs.omega).max())
@@ -343,6 +306,13 @@ class LevelSystem:
         acc = np.array([0.0, *accumulate(self.sequential_frequencies().tolist())])
         acc.setflags(write=False)
         return acc
+
+    @cached_property
+    def _h0(self) -> np.ndarray:
+        # diag(0, Delta_1, ..., Delta_{n-1}) as a complex matrix, read by the Hamiltonians
+        h0 = np.diag(self.detunings().astype(complex))
+        h0.setflags(write=False)
+        return h0
 
     @cached_property
     def _plans(self) -> dict[Method | None, SpectralPlan]:
@@ -413,13 +383,18 @@ class StateVector:
 
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
-        a = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(a)
-        if not np.isfinite(norm):
+        """amplitudes / |amplitudes| for any finite nonzero amplitudes: the parts are
+        first scaled by 2^-e, e the exponent of the largest |re| or |im|, so no
+        square in the norm under- or overflows, and no other bit changes."""
+        a = np.array(amplitudes, dtype=complex)
+        top = float(np.abs(np.stack((a.real, a.imag))).max(initial=0.0))
+        if not math.isfinite(top):
             raise InvalidInputError("cannot normalize non-finite amplitudes")
-        if norm == 0.0:
+        if top == 0.0:
             raise InvalidInputError("cannot normalize the zero vector")
-        return cls(a / norm)
+        e = math.frexp(top)[1]
+        a.real, a.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+        return cls(a / np.linalg.norm(a))
 
     @classmethod
     def _of_checked_row(cls, row: np.ndarray) -> "StateVector":
@@ -553,7 +528,7 @@ def hamiltonian_rwa(system: LevelSystem, t) -> np.ndarray:
         )
     p = system._pairs
     t = np.asarray(t, dtype=float)
-    h = _stack(p.h0, t)
+    h = _stack(system._h0, t)
     v = p.g * np.exp(1j * p.omega * t[..., None])
     h[..., p.rows, p.cols] = v
     h[..., p.cols, p.rows] = np.conjugate(v)
@@ -573,7 +548,7 @@ def hamiltonian_full(system: LevelSystem, t) -> np.ndarray:
     """
     p = system._pairs
     t = np.asarray(t, dtype=float)
-    h = _stack(p.h0, t)
+    h = _stack(system._h0, t)
     v = 2.0 * p.g * np.cos(p.omega * t[..., None] + p.phi)
     h[..., p.rows, p.cols] = v
     h[..., p.cols, p.rows] = v

@@ -128,8 +128,8 @@ class SpectralPlan:
     eigenvalues: np.ndarray | None = None
     projectors: np.ndarray | None = None
     q: np.ndarray | None = None
-    # (frame bytes or None, rates) and (block bytes, projections), each one
-    # tuple so a reader never pairs one call's key with another's value
+    # (frame bytes or None, rates, largest |rate|) and (block bytes, projections),
+    # one tuple each, so a reader never pairs one call's key with another's value
     _rates: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _projected: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -140,8 +140,9 @@ class SpectralPlan:
             if a is not None and np.count_nonzero(np.isfinite(a)) != a.size:
                 raise InvalidInputError(f"the eigenvalues of {self.n}x{self.n} Q overflow the float range")
 
-    def _joined_rates(self, frame) -> np.ndarray | None:
-        """-i (lambda, frame) as one complex array, None when there is neither.
+    def _joined_rates(self, frame) -> tuple[np.ndarray | None, float]:
+        """-i (lambda, frame) as one complex array, None when there is neither,
+        and the largest |rate| (0.0 for none).
 
         The real parts are -0.0, so t * rate, with t cast to complex, has the
         imaginary part -(t * rate) and a zero real part: the phases are those
@@ -150,15 +151,17 @@ class SpectralPlan:
         key = None if frame is None else frame.tobytes()
         memo = self._rates
         if memo is not None and memo[0] == key:
-            return memo[1]
+            return memo[1:]
         real = [a for a in (self.eigenvalues, frame) if a is not None]
-        rates = None
+        rates, top = None, 0.0
         if real:
-            rates = -1j * np.concatenate(real)  # imaginary parts exactly -(lambda, frame)
+            joined = np.concatenate(real)
+            top = max(map(abs, joined.tolist()))  # over Python floats, as Spectrum.spectral_radius
+            rates = -1j * joined  # imaginary parts exactly -(lambda, frame)
             rates.real = -0.0
             rates.setflags(write=False)
-        object.__setattr__(self, "_rates", (key, rates))
-        return rates
+        object.__setattr__(self, "_rates", (key, rates, top))
+        return rates, top
 
     def _projections(self, block: np.ndarray) -> np.ndarray:
         """P_j @ block for every j as an (m, n * k) complex array."""
@@ -179,10 +182,11 @@ class SpectralPlan:
 
         With ``frame`` rates a, shape (n,), row i at time t is then multiplied
         by e^{-i a_i t}; those phases and the eigenphases come from one
-        exponential.
+        exponential.  A t * rate past the float range is refused first.
         """
         n, k = block.shape
-        rates = self._joined_rates(frame)
+        rates, top = self._joined_rates(frame)
+        _check_phases(abs(t.item()) if t.size == 1 else float(np.abs(t).max()), top, self.n)
         phases = None if rates is None else np.exp(t[:, None] * rates)
         if self.method is Method.REFERENCE:
             from .oracle import reference_expm  # deferred: oracle imports model types
@@ -219,6 +223,12 @@ class SpectralPlan:
         one (T, m) @ (m, n) product and the frame product.
         """
         return self._apply(psi[:, None], times, frame)[:, :, 0]
+
+
+def _check_phases(span: float, top: float, n: int) -> None:
+    # max |t| times the largest |rate|: past the float range the phases would be NaN
+    if not math.isfinite(span * top):
+        raise InvalidInputError(f"the phases t * lambda of {n}x{n} Q at |t| = {span!r} overflow the float range")
 
 
 def _scaled(q: CouplingMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,10 +291,12 @@ def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
     f is the coefficient vector of sum_j e^{-it lambda_j} l_j(lambda) with
     l_j the Lagrange basis polynomials: LAPACK's solution of the Vandermonde
     system sum_k f_k lambda_j^k = e^{-it lambda_j}.  A near-degenerate
-    spectrum is rejected, and so is a t that is not a finite int or float.
+    spectrum is rejected, and so is a t that is not a finite int or float
+    or whose t * lambda passes the float range.
     """
-    _as_times([t])
+    span = abs(_as_times([t]).item())
     lam = _lagrange_nodes(spectrum)
+    _check_phases(span, spectrum.spectral_radius, spectrum.n)
     f = np.linalg.solve(np.vander(lam, increasing=True), np.exp(-1j * t * lam))
     return LagrangeCoeffs(f=f, t=t, spectrum=spectrum)
 

@@ -201,6 +201,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_amplitudes_and_times_near_the_float_max(self, tmp_path, capsys):
+        # an initial state of 1e200 amplitudes is served; a t_end whose phases
+        # overflow is refused by name, not by the norm check that followed
+        data = json.loads((SCENARIOS / "three_level_consistent.json").read_text(encoding="utf-8"))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**data, "initial": [[1e200, 0], [1e200, 0], [0, 0]], "samples": 3}))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "a.csv")]) == 0
+        path.write_text(json.dumps({**data, "t_end": 1e308, "samples": 3}))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "b.csv")]) == 1
+        assert "overflow the float range" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
 

@@ -265,6 +265,51 @@ def test_level_system_refuses_as_the_per_entry_loops(case):
         ]
 
 
+class _Index(int):
+    """An int subclass, as a caller's own index type may be."""
+
+
+@st.composite
+def valid_mixed_tables(draw):
+    """n and three valid tables as lists of (key, value) entries, in random
+    order and orientation, whose indices and values mix Python and numpy types."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tables = []
+    for name in ("couplings", "drive_frequencies", "phases"):
+        listed = pairs if name != "phases" else draw(st.lists(st.sampled_from(pairs), unique=True))
+        entries = []
+        for pair in draw(st.permutations(listed)):
+            key = tuple(draw(st.sampled_from([int, np.int64, np.int32, _Index]))(x) for x in pair)
+            value = draw(st.floats(0.0 if name == "couplings" else -10.0, 10.0))
+            value = draw(st.sampled_from([float, int, np.float64, np.float32]))(value)
+            entries.append((key[::-1] if draw(st.booleans()) else key, value))
+        tables.append(entries)
+    return n, tables
+
+
+@given(valid_mixed_tables())
+def test_level_system_takes_numbers_of_every_type_as_the_per_entry_loops(case):
+    n, tables = case
+    maps = [dict(entries) for entries in tables]
+    got = LevelSystem(tuple(float(k) for k in range(n)), *maps)
+    expected = _reference_level_system(n, *maps)
+    assert [list(m.items()) for m in (got.couplings, got.drive_frequencies, got.phases)] == [
+        list(m.items()) for m in expected
+    ]
+    for m in (got.couplings, got.drive_frequencies, got.phases):
+        assert {type(x) for pair in m for x in pair} == {int} and {type(v) for v in m.values()} == {float}
+
+
+def test_scenario_names_numpy_indices_as_ints():
+    # the per-entry loop reads each index as an int, so a pair past n is named by ints
+    entry = {"i": np.int64(0), "j": _Index(np.int32(5)), "g": 1.0, "omega": 1.0}
+    data = {"levels": [0.0, 1.0], "couplings": [entry], "initial": 0, "t_end": 1.0}
+    expected = _outcome(lambda: _reference_scenario_pairs(data["levels"], [entry]))
+    assert _outcome(lambda: cli.scenario_from_dict(data)) == expected
+    assert "key (0, 5) is not a valid level pair" in expected[1]
+
+
 @st.composite
 def faulty_coupling_entries(draw):
     """n and a scenario's couplings entries with one to three faults injected."""

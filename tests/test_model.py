@@ -136,6 +136,13 @@ class TestStateVector:
         state = StateVector.normalized([3.0, 4.0])
         assert np.allclose(state.amplitudes, [0.6, 0.8])
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308, 5e-324])
+    def test_normalized_over_the_float_range(self, scale):
+        # the squares in the norm under- or overflowed: [1e-200, 1e-200] was
+        # refused as the zero vector and [1e200, 1e200] as non-finite
+        state = StateVector.normalized([scale, -scale * 1j])
+        assert np.max(np.abs(state.amplitudes - [0.5**0.5, -(0.5**0.5) * 1j])) <= 2**-53
+
     def test_basis_and_populations(self):
         state = StateVector.basis(3, 1)
         assert state.populations().tolist() == [0.0, 1.0, 0.0]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -560,6 +561,24 @@ class TestCouplingsNearTheFloatMax:
         expected = (v * np.exp(-1j * times[:, None, None] * lam)) @ v[0]
         expected *= np.exp(-1j * times[:, None] * system._frame_frequencies)
         assert np.max(np.abs(traj.amplitudes - expected)) <= 1e-15
+
+    def test_phase_past_the_float_range_is_refused(self):
+        # t * lambda overflowed in the exponential's argument: numpy warned, then
+        # the norm check refused with "deviates from 1 by nan"
+        psi = StateVector.basis(3, 0)
+        plain = LevelSystem.resonant((0.0, 1.0, 3.0), {(0, 1): 1.0, (0, 2): 3.0, (1, 2): 2.0})
+        calls = [
+            ("10.0", lambda: trajectory(self._system(3, [7e307] * 3), psi, np.linspace(0.0, 10.0, 11))),
+            ("1e+308", lambda: full_solution(plain, psi, 1e308)),
+            ("1e+308", lambda: lagrange_coeffs(closed_form_spectrum(plain._q), 1e308)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for span, call in calls:
+                with pytest.raises(InvalidInputError, match=re.escape(f"at |t| = {span} overflow")):
+                    call()
+            assert full_solution(plain, psi, 1e300).n == 3  # every rate (below 5) times 1e300 is finite
+            assert lagrange_coeffs(closed_form_spectrum(plain._q), 1e307).t == 1e307
 
     @given(st.floats(1e-40, 1e40), st.lists(st.floats(-1e-13, 1e-13), min_size=6, max_size=6))
     def test_mean_in_the_safe_band_keeps_its_bits(self, g, spread):
