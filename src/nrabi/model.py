@@ -79,6 +79,16 @@ def _shown(x) -> str:
     return repr(x)
 
 
+def _repr(x) -> str:
+    # repr(x), a pair key say; where Python cannot write an int in it, _shown's words
+    try:
+        return repr(x)
+    except ValueError:  # an int past the 4300-digit limit
+        if isinstance(x, tuple):
+            return f"({', '.join(map(_repr, x))}{',' if len(x) == 1 else ''})"
+        return _shown(x)
+
+
 def _as_times(times) -> np.ndarray:
     """Sample times as a fresh 1-D float array, else InvalidInputError.
 
@@ -162,11 +172,11 @@ def _pair_map(values, n: int, what: str) -> dict[Pair, float]:
 def _check_pair(key, value, n: int, what: str, earlier: dict) -> tuple[Pair, float]:
     # one entry's rules in order, the first broken one raising; earlier: the sorted pairs before it
     if not (isinstance(key, tuple) and len(key) == 2):
-        raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
+        raise InvalidInputError(f"{what} key {_repr(key)} is not a valid level pair")
     index = f"{what} key index"
     i, j = sorted((_count(key[0], index, 0), _count(key[1], index, 0)))
     if i == j or j >= n:
-        raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
+        raise InvalidInputError(f"{what} key {_repr(key)} is not a valid level pair")
     if (i, j) in earlier:
         raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
     return (i, j), _real(value, f"{what}[{i},{j}]")
@@ -409,7 +419,7 @@ class StateVector:
         """|index> in n levels: n and index are counts (see ``_count``), index < n."""
         n = _count(n, "n", 2, _MAX_LEVELS)
         if _count(index, "basis index", 0) >= n:
-            raise InvalidInputError(f"basis index must be below n = {n}, got {index!r}")
+            raise InvalidInputError(f"basis index must be below n = {n}, got {_repr(index)}")
         a = np.zeros(n, dtype=complex)
         a[index] = 1.0
         return cls(a)

@@ -6,6 +6,11 @@ step-doubling error control, and the matrix exponential is plain
 scaling-and-squaring of a truncated Taylor series.  The integrator does not
 hide its own error: norm drift is left visible unless renormalization is
 requested explicitly.
+
+The RK4 stages take the generator A = -i H, so k = A @ (...).  The
+integrator checks each stack of Hamiltonians it evaluates and forms its
+generators once; ``rk4_step`` shares the stage arithmetic, so the integrator
+is bit for bit a loop of ``rk4_step`` calls.
 """
 
 from __future__ import annotations
@@ -67,39 +72,58 @@ class TimeSeries:
         object.__setattr__(self, "times", times)
 
 
-def _hamiltonians(hamiltonian, ts: list, n: int) -> np.ndarray:
-    """The caller's Hamiltonians at ``ts`` as a (T, n, n) stack, each checked
-    finite and Hermitian within 1e-12 of max(1, its largest entry)."""
+def _generators(hamiltonian, ts: list, n: int) -> np.ndarray:
+    """-i H at ``ts`` as a (T, n, n) stack, from the caller's Hamiltonians,
+    each checked finite and Hermitian within 1e-12 of max(1, its largest entry).
+
+    A stack whose every entry of H - H^H is at most 1e-12 passes that rule
+    at once; a NaN or inf entry leaves a NaN or inf there and fails it.  Any
+    other stack takes the test time by time, which names the first bad time.
+    """
     hs = np.asarray(hamiltonian(np.array(ts)), dtype=complex)
     if hs.shape != (len(ts), n, n):
         raise InvalidInputError(
             f"hamiltonian must map {len(ts)} times to a ({len(ts)}, {n}, {n}) stack, "
             f"got shape {hs.shape}"
         )
-    scale = np.abs(hs).max(axis=(1, 2))
-    bad = ~np.isfinite(scale)
-    if not bad.any():
-        defect = np.abs(hs - hs.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        bad = defect > _HERMITICITY_RTOL * np.maximum(scale, 1.0)
-    if bad.any():
-        t = ts[int(np.argmax(bad))]
-        raise IntegrationError(f"Hamiltonian is not finite and Hermitian at t = {t!r}")
-    return hs
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf entry leaves NaN or inf, refused below
+        defect = np.abs(hs - hs.conj().swapaxes(1, 2))
+    if not defect.max() <= _HERMITICITY_RTOL:
+        scale = np.abs(hs).max(axis=(1, 2))
+        bad = ~np.isfinite(scale)
+        if not bad.any():
+            bad = defect.max(axis=(1, 2)) > _HERMITICITY_RTOL * np.maximum(scale, 1.0)
+        if bad.any():
+            t = ts[int(np.argmax(bad))]
+            raise IntegrationError(f"Hamiltonian is not finite and Hermitian at t = {t!r}")
+    return -1j * hs
 
 
-def _rk4(psi, dt, k1, h2, h3, h4):
-    # the classic RK4 stages after k1 = -i H(t) psi
-    k2 = -1j * (h2 @ (psi + (0.5 * dt) * k1))
-    k3 = -1j * (h3 @ (psi + (0.5 * dt) * k2))
-    k4 = -1j * (h4 @ (psi + dt * k3))
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(psi, dt, k1, a2, a3, a4):
+    # the classic RK4 stages after k1 = A(t) psi, with generators A = -i H
+    k2 = a2 @ (psi + (0.5 * dt) * k1)
+    k3 = a3 @ (psi + (0.5 * dt) * k2)
+    k4 = a4 @ (psi + dt * k3)
+    return psi + (dt / 6.0) * (k1 + k4 + 2.0 * (k2 + k3))
+
+
+def _norm(v: np.ndarray) -> float:
+    # numpy.linalg.norm of a complex vector, the same two dots and square
+    # root, without its dispatch: the same bits
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def rk4_step(hamiltonian, t: float, psi: np.ndarray, dt: float) -> np.ndarray:
     """One classic fourth-order Runge-Kutta step of i dpsi/dt = H(t) psi."""
-    k1 = -1j * (hamiltonian(t) @ psi)
+    k1 = (-1j * hamiltonian(t)) @ psi
     return _rk4(
-        psi, dt, k1, hamiltonian(t + 0.5 * dt), hamiltonian(t + 0.5 * dt), hamiltonian(t + dt)
+        psi,
+        dt,
+        k1,
+        -1j * hamiltonian(t + 0.5 * dt),
+        -1j * hamiltonian(t + 0.5 * dt),
+        -1j * hamiltonian(t + dt),
     )
 
 
@@ -119,9 +143,9 @@ def integrate_schrodinger(
     abs_tol + rel_tol * ||psi|| for the step to be accepted, and the step size
     follows the usual fourth-order controller.  Every attempt evaluates its
     distinct new times t + s/4, t + s/2, t + s/2 + s/4, t + s/2 + s/2 and
-    t + s in one call (H(t) is carried over from the accepted step before),
-    so ``hamiltonian`` must depend on t alone, and every matrix it returns
-    must be finite and Hermitian or IntegrationError is raised.  Raises
+    t + s in one call (-i H(t) is carried over from the accepted step
+    before), so ``hamiltonian`` must depend on t alone, and every matrix it
+    returns must be finite and Hermitian or IntegrationError is raised.  Raises
     IntegrationError when the step budget runs out.  The result counts
     accepted and rejected attempts and the times evaluated.
     """
@@ -135,7 +159,7 @@ def integrate_schrodinger(
 
     psi = np.array(psi0.amplitudes, dtype=complex)
     n = psi.size
-    h_t = _hamiltonians(hamiltonian, [0.0, t_end], n)[0]
+    a_t = _generators(hamiltonian, [0.0, t_end], n)[0]
     h_evals = 2
     states = np.empty((samples, n), dtype=complex)
     states[0] = psi
@@ -155,17 +179,16 @@ def integrate_schrodinger(
             stage = (t, t + 0.5 * half, mid, mid + 0.5 * half, mid + half, t + step)
             at = dict.fromkeys(stage)
             new = list(at)[1:]
-            at.update(zip(new, _hamiltonians(hamiltonian, new, n)))
-            at[t] = h_t
+            at.update(zip(new, _generators(hamiltonian, new, n)))
+            at[t] = a_t
             h_evals += len(new)
-            h_q1, h_mid, h_q3, h_half_end, h_end = (at[x] for x in stage[1:])
-            k1 = -1j * (h_t @ psi)
-            full = _rk4(psi, step, k1, h_mid, h_mid, h_end)
-            psi_half = _rk4(psi, half, k1, h_q1, h_q1, h_mid)
-            k1 = -1j * (h_mid @ psi_half)
-            psi_half = _rk4(psi_half, half, k1, h_q3, h_q3, h_half_end)
-            err = float(np.linalg.norm(psi_half - full))
-            tol = cfg.abs_tol + cfg.rel_tol * float(np.linalg.norm(psi_half))
+            a_q1, a_mid, a_q3, a_half_end, a_end = (at[x] for x in stage[1:])
+            k1 = a_t @ psi
+            full = _rk4(psi, step, k1, a_mid, a_mid, a_end)
+            psi_half = _rk4(psi, half, k1, a_q1, a_q1, a_mid)
+            psi_half = _rk4(psi_half, half, a_mid @ psi_half, a_q3, a_q3, a_half_end)
+            err = _norm(psi_half - full)
+            tol = cfg.abs_tol + cfg.rel_tol * _norm(psi_half)
             steps += 1
             if steps > cfg.max_steps:
                 raise IntegrationError(
@@ -175,10 +198,10 @@ def integrate_schrodinger(
                 accepted += 1
                 psi = psi_half
                 t = t_target if last else t + step
-                h_t = at.get(t)
-                if h_t is None:
+                a_t = at.get(t)
+                if a_t is None:
                     # a clamped final sub-step can end off its own stage times
-                    h_t = _hamiltonians(hamiltonian, [t], n)[0]
+                    a_t = _generators(hamiltonian, [t], n)[0]
                     h_evals += 1
                 if cfg.renormalize:
                     psi = psi / np.linalg.norm(psi)
@@ -229,7 +252,8 @@ def reference_expm(a: np.ndarray) -> np.ndarray:
         raise InvalidInputError("matrix exponential needs a square matrix")
     if not np.isfinite(a).all():
         raise InvalidInputError("matrix entries must be finite")
-    norm = float(np.linalg.norm(a, 1))
+    with np.errstate(over="ignore"):  # finite entries can sum past the float range
+        norm = float(np.linalg.norm(a, 1))
     if norm > _MAX_EXPM_NORM:
         raise InvalidInputError(f"matrix norm {norm:.3e} exceeds {_MAX_EXPM_NORM:.0e}")
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0

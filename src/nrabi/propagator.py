@@ -142,7 +142,7 @@ class SpectralPlan:
 
     def _joined_rates(self, frame) -> tuple[np.ndarray | None, float]:
         """-i (lambda, frame) as one complex array, None when there is neither,
-        and the largest |rate| (0.0 for none).
+        and the largest |rate| (0.0 for none), max|Q_ij| counted for ``reference``.
 
         The real parts are -0.0, so t * rate, with t cast to complex, has the
         imaginary part -(t * rate) and a zero real part: the phases are those
@@ -160,6 +160,10 @@ class SpectralPlan:
             rates = -1j * joined  # imaginary parts exactly -(lambda, frame)
             rates.real = -0.0
             rates.setflags(write=False)
+        if self.q is not None:
+            # the reference route holds no eigenvalues but forms t Q: max|Q_ij|
+            # counts as its rate, so that t Q stays finite
+            top = max(top, max(map(abs, self.q.ravel().tolist())))
         object.__setattr__(self, "_rates", (key, rates, top))
         return rates, top
 

@@ -17,6 +17,7 @@ no intermediate of the formulas under- or overflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,14 @@ _RESIDUAL_RTOL = 1e-9
 # max|Q| in this band keeps every intermediate of the characteristic
 # polynomials and of the resolvent (its g^6 terms p^3 and q^2) a normal float
 _SAFE_BAND = (2.0 ** -150, 2.0 ** 150)
+# the quartic's roots' scale max(|p|^(1/2), |q|^(1/3), |r|^(1/4)) in
+# [2^-150, 2^152] keeps every intermediate of ``solve_quartic`` normal: the
+# 2nd, 3rd and 4th powers of the band bound |p|, |q| and |r|.  The band holds
+# the coefficients of every Q in the safe band (|p| <= 6 max|Q|^2,
+# |q| <= 8 max|Q|^3, |r| <= 9 max|Q|^4), so those are solved unscaled
+_COEFFICIENT_LO = (2.0 ** -300, 2.0 ** -450, 2.0 ** -600)
+_COEFFICIENT_HI = (2.0 ** 304, 2.0 ** 456, 2.0 ** 608)
+_MAX_QUARTIC_ROOT = sys.float_info.max ** 0.25
 
 
 @dataclass(frozen=True)
@@ -173,8 +182,9 @@ def _newton(f: tuple[float, ...], df: tuple[float, ...], x: float, steps: int) -
     return x
 
 
-def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
-    """Polish, check, sort and cluster the real roots of the monic ``poly``.
+def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) -> Spectrum:
+    """Polish, check, sort and cluster the real roots of the monic ``poly``,
+    a polynomial in 2^-e lambda, and scale them back by 2^e.
 
     Each root gets one Newton step and must then leave a residual below 1e-9
     of radius^degree, with the spectral radius taken over the polished roots:
@@ -196,7 +206,7 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
     for x in lam:
         if not abs(_horner(poly, x)) <= bound:
             raise InvalidInputError(
-                f"root {x!r} fails the characteristic polynomial residual bound; "
+                f"root {math.ldexp(x, e)!r} fails the characteristic polynomial residual bound; "
                 "coefficients are not from a real symmetric matrix"
             )
     start = 0
@@ -211,6 +221,8 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...]) -> Spectrum:
                 lam[start:k] = [_newton(f, _derivative(f), mean, 3)] * size
             start = k
     gap = min(lam[k] - lam[k + 1] for k in range(degree - 1))
+    if e:
+        lam, gap = [math.ldexp(x, e) for x in lam], math.ldexp(gap, e)
     return Spectrum(eigenvalues=lam, degeneracy_gap=gap, n=degree)
 
 
@@ -258,6 +270,21 @@ def solve_cubic_depressed(coeffs: CubicCoeffs) -> Spectrum:
         raise _out_of_range(coeffs) from None
 
 
+def _root_exponent(p: float, q: float, r: float) -> int:
+    """The e with which ``solve_quartic`` solves for 2^-e lambda.
+
+    0 when the roots' scale max(|p|^(1/2), |q|^(1/3), |r|^(1/4)) lies in
+    [2^-150, 2^152] or p = q = r = 0, else the least e that puts it below 2^e.
+    """
+    a, b, c = abs(p), abs(q), abs(r)
+    hi, lo = _COEFFICIENT_HI, _COEFFICIENT_LO
+    if a <= hi[0] and b <= hi[1] and c <= hi[2]:
+        if a >= lo[0] or b >= lo[1] or c >= lo[2] or a == b == c == 0.0:
+            return 0
+    # |x| < 2^f with f its binary exponent, so |x|^(1/k) < 2^ceil(f/k)
+    return max(-(-math.frexp(x)[1] // k) for x, k in ((a, 2), (b, 3), (c, 4)) if x)
+
+
 def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     """All four real roots of lambda^4 + p*lambda^2 + q*lambda + r = 0 by Ferrari's method.
 
@@ -275,8 +302,19 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     stays >= 0, so m >= -p/3 > 0 for any Q but Q = 0, where p = q = r = 0 and
     every root is 0.  Coefficients without four real roots fail the residual
     check instead; the inputs are checked as in ``solve_cubic_depressed``.
+
+    The resolvent's terms are of degree 6 in the roots, so coefficients whose
+    roots' scale lies outside [2^-150, 2^152] are solved for 2^-e lambda, with
+    p, q and r times 2^-2e, 2^-3e and 2^-4e, and the roots scaled back
+    (``_root_exponent``): the verdict and the roots do not depend on the
+    coefficients' scale, but for roots whose 4th power passes the float
+    range, which are refused as the cubic's whose cube does.  Inside the band
+    e = 0.
     """
     p, q, r = (_real(getattr(coeffs, k), f"quartic coefficient {k}") for k in "pqr")
+    e = _root_exponent(p, q, r)
+    if e:
+        p, q, r = math.ldexp(p, -2 * e), math.ldexp(q, -3 * e), math.ldexp(r, -4 * e)
     try:
         m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
         s = math.sqrt(max(2.0 * m, 0.0))
@@ -285,9 +323,12 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
         for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
             half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
             roots += [-0.5 * b + half, -0.5 * b - half]
-        return _finish_spectrum(roots, (1.0, 0.0, p, q, r))
+        spectrum = _finish_spectrum(roots, (1.0, 0.0, p, q, r), e)
     except OverflowError:
         raise _out_of_range(coeffs) from None
+    if e > 0 and spectrum.spectral_radius > _MAX_QUARTIC_ROOT:
+        raise _out_of_range(coeffs)
+    return spectrum
 
 
 def closed_form_spectrum(q: CouplingMatrix) -> Spectrum:

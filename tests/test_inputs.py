@@ -123,6 +123,21 @@ def test_key_that_is_no_pair(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LevelSystem((0.0, 1.0), {(0, 10**5000): 1.0}, {(0, 1): 1.0}),
+        lambda: LevelSystem((0.0, 1.0), {(0, 1, 10**5000): 1.0}, {(0, 1): 1.0}),
+        lambda: StateVector.basis(2, 10**5000),
+    ],
+    ids=["pair_key", "three_index_key", "basis_index"],
+)
+def test_index_past_the_digit_limit_is_named_by_its_bits(call):
+    # Python writes no int past 4300 digits: the repr in the message raised ValueError
+    with pytest.raises(InvalidInputError, match="an integer of 16610 bits"):
+        call()
+
+
 def test_numpy_and_int_values_are_reals_and_counts():
     system = LevelSystem(
         (0, np.float32(1.0)), {(np.int64(1), 0): np.int64(2)}, {(0, 1): 1}, {(0, 1): np.float64(0.5)}

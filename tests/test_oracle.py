@@ -292,6 +292,48 @@ class TestIntegratorOrder:
             assert coarse / fine >= 12.0
 
 
+class TestHermiticityRule:
+    """Each evaluated H must be finite and within 1e-12 max(1, max|H|) of Hermitian."""
+
+    def test_defect_within_the_relative_bound_is_accepted(self):
+        # max|H| = 1e6 allows a defect up to 1e-6; 1e-8 is far above 1e-12
+        h = np.array([[1e6, 1e-8], [0.0, -1e6]], dtype=complex)
+        series = integrate_schrodinger(
+            lambda ts: np.broadcast_to(h, (len(ts), 2, 2)), StateVector.basis(2, 0), 1e-6, 3
+        )
+        assert np.all(np.isfinite(series.states))
+        assert series.populations[-1] == pytest.approx([1.0, 0.0], abs=1e-9)
+
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_infinite_entry_names_its_time(self, entry):
+        # the first stack holds t = 0 and t_end; the second time is the bad one
+        def hamiltonian(ts):
+            hs = np.zeros((len(ts), 2, 2), dtype=complex)
+            hs[(ts == 2.0), entry[0], entry[1]] = np.inf
+            return hs
+
+        with pytest.raises(IntegrationError, match=r"at t = 2\.0$"):
+            integrate_schrodinger(hamiltonian, StateVector.basis(2, 0), 2.0, 3)
+
+
+class TestStageArithmetic:
+    def test_constant_hamiltonian_step_is_the_degree_four_taylor_polynomial(self):
+        # for a constant H, classic RK4 is sum_k (-i dt H)^k / k! psi, k <= 4
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = (a + a.conj().T) / 2.0
+            dt = rng.uniform(0.01, 1.0) / np.linalg.norm(h, 2)
+            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            taylor = term = psi
+            for k in range(1, 5):
+                term = (-1j * dt) * (h @ term) / k
+                taylor = taylor + term
+            step = rk4_step(lambda t: h, rng.uniform(-5.0, 5.0), psi, dt)
+            assert np.linalg.norm(step - taylor) <= 1e-14 * np.linalg.norm(taylor)
+
+
 class TestRwaError:
     def test_vanishing_drive_limit(self):
         omega = 1.0

@@ -580,6 +580,21 @@ class TestCouplingsNearTheFloatMax:
             assert full_solution(plain, psi, 1e300).n == 3  # every rate (below 5) times 1e300 is finite
             assert lagrange_coeffs(closed_form_spectrum(plain._q), 1e307).t == 1e307
 
+    def test_reference_phase_past_the_float_range_is_refused(self):
+        # the reference plan holds no eigenvalues, so only the frame rate
+        # (1e-10) was counted, and t Q overflowed in numpy
+        system = LevelSystem.resonant((0.0, 1e-10), {(0, 1): 3.0})
+        psi = StateVector.basis(2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=re.escape("at |t| = 1e+308 overflow")):
+                trajectory(system, psi, [0.0, 1e308], method="reference")
+            # finite entries whose 1-norm passes the float range
+            with pytest.raises(InvalidInputError, match="matrix norm inf exceeds"):
+                reference_expm(np.full((3, 3), 1e308))
+            huge = coupling_matrix([1e308] * 3, 3)
+            assert np.array_equal(propagator(huge, 0.0, "reference").matrix, np.eye(3))
+
     @given(st.floats(1e-40, 1e40), st.lists(st.floats(-1e-13, 1e-13), min_size=6, max_size=6))
     def test_mean_in_the_safe_band_keeps_its_bits(self, g, spread):
         q = coupling_matrix([g * (1.0 + d) for d in spread], 4)

@@ -182,6 +182,26 @@ class TestQuarticSolver:
         assert np.max(np.abs(spectrum.eigenvalues - oracle)) <= 1e-9
 
 
+    @pytest.mark.parametrize("k", [-240, -230, -200, -160, 160, 200, 240])
+    def test_scales_bit_for_bit_with_its_coefficients(self, k, rng):
+        # (4^k p, 8^k q, 16^k r) has the roots 2^k lambda: outside its band the
+        # solver scales them back by a power of two, so the bits follow; at
+        # k = -230 (couplings near 1e-69) the resolvent's degree-6 terms
+        # underflowed and valid coefficients were refused
+        for _ in range(50):
+            c = char_poly_4(random_coupling_matrix(rng, 4))
+            scaled = QuarticCoeffs(math.ldexp(c.p, 2 * k), math.ldexp(c.q, 3 * k), math.ldexp(c.r, 4 * k))
+            spectrum, expected = solve_quartic(scaled), solve_quartic(c)
+            assert np.array_equal(spectrum.eigenvalues, np.ldexp(expected.eigenvalues, k))
+            assert spectrum.degeneracy_gap == math.ldexp(expected.degeneracy_gap, k)
+
+    def test_single_tiny_coupling(self):
+        # drawn by test_matches_companion_oracle and refused by the residual bound
+        g = 1.75034844649128e-69
+        spectrum = solve_quartic(char_poly_4(coupling_matrix([0.0] * 5 + [g], 4)))
+        assert spectrum.eigenvalues.tolist() == pytest.approx([g, 0.0, 0.0, -g], rel=1e-12, abs=1e-80)
+
+
 class TestSpectrumInvariants:
     @pytest.mark.parametrize("n", [3, 4])
     def test_trace_identities_and_gershgorin(self, n, rng):
