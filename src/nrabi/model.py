@@ -97,6 +97,8 @@ def _as_times(times) -> np.ndarray:
     would take "1.5" and True, so the type is checked first, item by item in
     a list or tuple: numpy makes [0.0, True] floats.
     """
+    if type(times) is list and len(times) == 1 and type(times[0]) is float and math.isfinite(times[0]):
+        return np.array(times)  # one finite Python float, as full_solution passes it
     try:
         t = np.array(times)  # a fresh copy, so the caller's array is never exposed
     except ValueError:  # ragged, as [0.0, [1.0]]
@@ -325,9 +327,24 @@ class LevelSystem:
         return h0
 
     @cached_property
-    def _plans(self) -> dict[Method | None, SpectralPlan]:
-        # requested method (None for auto) -> plan of Q; filled by trajectory
+    def _plans(self) -> dict[Method | None, _PlanEntry]:
+        # requested method (None for auto) -> plan of Q and its reuse; filled by trajectory
         return {}
+
+
+class _PlanEntry:
+    """One spectral plan of a system's Q and what its calls reuse.
+
+    ``rates`` is the plan's (rates, largest |rate|) joined with the frame
+    rates, built with the entry; ``projected`` holds (state bytes, P psi0)
+    of the last state evolved, one tuple, so a reader never pairs one call's
+    key with another call's value.
+    """
+
+    __slots__ = ("plan", "rates", "projected")
+
+    def __init__(self, plan: SpectralPlan, frame: np.ndarray):
+        self.plan, self.rates, self.projected = plan, plan._phase_rates(frame), (None, None)
 
 
 @dataclass(frozen=True)
@@ -616,15 +633,15 @@ def trajectory(
     default-tolerance verdict, Q, the frame frequencies and one plan per
     requested method) is kept on the system and reused by later calls; a
     check or plan that raises is redone, and raises again, on every call.
-    The plan keeps the joined frame and eigen rates and P psi0 of the last
-    state it evolved, so a later call on the same state repeats only the
-    phase work.  ``times`` must be a non-empty 1-D array of finite values;
-    the plan rejects anything else before any phase is computed.  The frame
-    phases of U(t) and the eigenphases of the plan come from one
-    exponential.  Every row must have unit norm within 1e-12, as a
+    With each plan the system keeps its eigen rates joined with the frame
+    rates, and P psi0 of the last state evolved, so a later call on the same
+    state repeats only the phase work.  ``times`` must be a non-empty 1-D
+    array of finite values; anything else is rejected before any phase is
+    computed.  The frame phases of U(t) and the eigenphases of the plan come
+    from one exponential.  Every row must have unit norm within 1e-12, as a
     StateVector must, or InvalidInputError is raised.
     """
-    times, amplitudes, route = _framed_rows(system, psi0, times, method, tol, _as_times)
+    times, amplitudes, route = _framed_rows(system, psi0, times, method, tol)
     times.setflags(write=False)
     return Trajectory(times, amplitudes, route)
 
@@ -640,29 +657,19 @@ def full_solution(
 
     Same conditions, errors and ``method``/``tol`` arguments as ``trajectory``.
     The row is checked once, by trajectory's norm check, which is
-    StateVector's.  A finite Python float ``t`` skips the sequence checks of
-    ``trajectory``'s times; any other value gets them.
+    StateVector's.
     """
-    _, amplitudes, _ = _framed_rows(system, psi0, t, method, tol, _single_time)
+    _, amplitudes, _ = _framed_rows(system, psi0, [t], method, tol)
     return StateVector._of_checked_row(amplitudes[0])
 
 
-def _single_time(t) -> np.ndarray:
-    # the one scalar time check; ints keep _as_times's rule, under which numpy
-    # refuses ints past 64 bits
-    if type(t) is float and math.isfinite(t):
-        return np.array([t])
-    return _as_times([t])
-
-
-def _framed_rows(system, psi0, times, method, tol, as_times) -> tuple[np.ndarray, np.ndarray, Method]:
+def _framed_rows(system, psi0, times, method, tol) -> tuple[np.ndarray, np.ndarray, Method]:
     """Times, amplitudes and route behind ``trajectory`` and ``full_solution``.
 
-    ``as_times`` turns ``times`` into a checked float array; it runs after
-    the conditions, the state and the plan are checked, so an input fails
-    with the same error whichever entry point took it.  The times come back as a fresh float array, the
-    amplitudes U(t) exp(-itQ) psi0 as a read-only (T, n) array whose every
-    row passed the norm check.
+    The times are checked after the conditions, the state and the plan, so
+    an input fails with the same error whichever entry point took it.  The
+    times come back as a fresh float array, the amplitudes U(t) exp(-itQ)
+    psi0 as a read-only (T, n) array whose every row passed the norm check.
     """
     if tol is None:
         system._conditions  # the cached verdict; raises ConditionError unless both hold
@@ -676,11 +683,16 @@ def _framed_rows(system, psi0, times, method, tol, as_times) -> tuple[np.ndarray
         raise InvalidInputError("initial state dimension does not match the system")
     # spectral_plan is looked up on its module per call, so a patch there applies
     key = None if method is None else _propagator._method(method)
-    plan = system._plans.get(key)
-    if plan is None:
-        plan = system._plans[key] = _propagator.spectral_plan(system._q, key)
-    times = as_times(times)
-    amplitudes = plan._evolve_in_frame(psi0.amplitudes, times, system._frame_frequencies)
+    entry = system._plans.get(key)
+    if entry is None:
+        entry = system._plans[key] = _PlanEntry(_propagator.spectral_plan(system._q, key), system._frame_frequencies)
+    plan = entry.plan
+    times = _as_times(times)
+    psi = psi0.amplitudes[:, None]
+    state = psi.tobytes()
+    if entry.projected[0] != state:
+        entry.projected = (state, plan._projections(psi))
+    amplitudes = plan._apply(psi, times, *entry.rates, entry.projected[1])[:, :, 0]
     defect = np.abs(_row_norms(amplitudes) - 1.0)
     ok = defect <= _NORM_ATOL  # NaN is not ok
     if np.count_nonzero(ok) != ok.size:

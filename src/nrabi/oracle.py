@@ -24,7 +24,7 @@ from .errors import IntegrationError, InvalidInputError
 from .model import LevelSystem, StateVector, _count, _real, hamiltonian_full, hamiltonian_rwa
 
 _HERMITICITY_RTOL = 1e-12
-_TAYLOR_DEGREE = 12
+_TAYLOR_DEGREE = 14
 _MAX_EXPM_NORM = 1e6
 # the states are a (samples, n) complex array: 32 MB a level at the cap
 _MAX_SAMPLES = 2_000_000
@@ -240,7 +240,7 @@ def rwa_error(
 
 
 def reference_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring of a degree-12 Taylor sum.
+    """Matrix exponential by scaling-and-squaring of a degree-14 Taylor sum.
 
     The argument is halved until its 1-norm is at most 0.5, the series is
     evaluated by Horner's scheme, and the result is squared back up.  Shares

@@ -16,18 +16,19 @@ a route only decides how lambda and P are found:
 
 A scaling-and-squaring reference exponential stays independent of them.
 ``spectral_plan`` picks a route for one Q and builds lambda and P once; the
-plan then evaluates any number of times in one batched call, and keeps its
-last joined phase rates and P applied to its last state, so that a call on
-the same state at new times repeats only the phase work.  ``propagator``
-and the per-route functions are its single-time case, exposed so the routes
-can be cross-checked against each other.
+plan then evaluates any number of times in one batched call.  A plan never
+changes after it is built: a caller that evaluates one plan again and again
+on one state keeps that state's projections itself, as ``model.trajectory``
+does on the system.  ``propagator`` and the per-route functions are its
+single-time case, exposed so the routes can be cross-checked against each
+other.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -72,17 +73,12 @@ def _method(method) -> Method | None:
 
 @dataclass(frozen=True)
 class Propagator:
-    """exp(-itQ) as a concrete complex matrix, tagged with its construction."""
+    """exp(-itQ) as a read-only complex matrix, tagged with its construction."""
 
     n: int
     matrix: np.ndarray
     t: float
     method: Method
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,10 @@ class SpectralPlan:
     that sum to I, both finite or InvalidInputError.  ``q`` holds the entries
     of Q for the reference exponential.
 
-    A plan also keeps two results of its last call, each with the bytes it
-    was computed from, so that a call with the same frame or the same state
-    at new times reuses them: the joined phase rates -i (lambda, frame) and
-    the projections P_j @ block.  Both are derived from the call's content
-    alone, so a hit gives the same bits as a miss.
+    A plan is never changed after construction.  Its own phase rates are
+    worked out on first use and kept (``_rates``); a caller that evaluates
+    the plan in a frame or on one state many times keeps the joined rates
+    (``_phase_rates``) and the projections (``_projections``) itself.
     """
 
     method: Method
@@ -128,10 +123,6 @@ class SpectralPlan:
     eigenvalues: np.ndarray | None = None
     projectors: np.ndarray | None = None
     q: np.ndarray | None = None
-    # (frame bytes or None, rates, largest |rate|) and (block bytes, projections),
-    # one tuple each, so a reader never pairs one call's key with another's value
-    _rates: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _projected: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the one finite-spectrum gate: an eigenvalue past the float range
@@ -140,18 +131,15 @@ class SpectralPlan:
             if a is not None and np.count_nonzero(np.isfinite(a)) != a.size:
                 raise InvalidInputError(f"the eigenvalues of {self.n}x{self.n} Q overflow the float range")
 
-    def _joined_rates(self, frame) -> tuple[np.ndarray | None, float]:
-        """-i (lambda, frame) as one complex array, None when there is neither,
-        and the largest |rate| (0.0 for none), max|Q_ij| counted for ``reference``.
+    def _phase_rates(self, frame=None) -> tuple[np.ndarray | None, float]:
+        """-i (lambda, frame) as one read-only complex array, None when there is
+        neither, and the largest |rate| (0.0 for none), max|Q_ij| counted for
+        ``reference``.
 
         The real parts are -0.0, so t * rate, with t cast to complex, has the
         imaginary part -(t * rate) and a zero real part: the phases are those
         of exp(-1j * (t * (lambda, frame))) bit for bit, zero signs included.
         """
-        key = None if frame is None else frame.tobytes()
-        memo = self._rates
-        if memo is not None and memo[0] == key:
-            return memo[1:]
         real = [a for a in (self.eigenvalues, frame) if a is not None]
         rates, top = None, 0.0
         if real:
@@ -164,51 +152,56 @@ class SpectralPlan:
             # the reference route holds no eigenvalues but forms t Q: max|Q_ij|
             # counts as its rate, so that t Q stays finite
             top = max(top, max(map(abs, self.q.ravel().tolist())))
-        object.__setattr__(self, "_rates", (key, rates, top))
         return rates, top
 
-    def _projections(self, block: np.ndarray) -> np.ndarray:
-        """P_j @ block for every j as an (m, n * k) complex array."""
+    @functools.cached_property
+    def _rates(self) -> tuple[np.ndarray | None, float]:
+        # the plan's own rates -i lambda and their largest magnitude, kept: the fields are read-only
+        return self._phase_rates()
+
+    def _projections(self, block: np.ndarray) -> np.ndarray | None:
+        """P_j @ block for every j as a read-only (m, n * k) complex array;
+        None for ``reference``, which holds no projectors."""
+        if self.projectors is None:
+            return None
         # on the interleaved real and imaginary parts, so numpy never makes a
         # complex copy of the (m, n, n) projector stack
         parts = np.ascontiguousarray(block, dtype=complex).view(float)
-        key = parts.tobytes()
-        memo = self._projected
-        if memo is not None and memo[0] == key:
-            return memo[1]
         projected = (self.projectors @ parts).view(complex).reshape(-1, block.size)
         projected.setflags(write=False)
-        object.__setattr__(self, "_projected", (key, projected))
         return projected
 
-    def _apply(self, block: np.ndarray, t: np.ndarray, frame=None) -> np.ndarray:
+    def _apply(self, block, t, rates, top, projected) -> np.ndarray:
         """exp(-itQ) @ block at every time, shape (T, n, k); t = 0 gives block exactly.
 
-        With ``frame`` rates a, shape (n,), row i at time t is then multiplied
-        by e^{-i a_i t}; those phases and the eigenphases come from one
-        exponential.  A t * rate past the float range is refused first.
+        ``rates`` and ``top`` come from ``_phase_rates`` and ``projected``
+        from ``_projections(block)``.  When ``rates`` also hold frame rates
+        a, shape (n,), row i at time t is then multiplied by e^{-i a_i t};
+        those phases and the eigenphases come from one exponential.  A
+        t * rate past the float range is refused first.
         """
         n, k = block.shape
-        rates, top = self._joined_rates(frame)
         _check_phases(abs(t.item()) if t.size == 1 else float(np.abs(t).max()), top, self.n)
         phases = None if rates is None else np.exp(t[:, None] * rates)
         if self.method is Method.REFERENCE:
             from .oracle import reference_expm  # deferred: oracle imports model types
 
+            m = 0
             out = np.array([reference_expm(-1j * x * self.q) @ block for x in t])
         else:
             m = len(self.eigenvalues)
-            out = (phases[:, :m] @ self._projections(block)).reshape(t.size, n, k)
+            out = (phases[:, :m] @ projected).reshape(t.size, n, k)
         if np.count_nonzero(t) != t.size:
             out[t == 0.0] = block
-        if frame is not None:
+        if phases is not None and phases.shape[1] > m:
             # phases first: complex products round in operand order (FMA)
-            np.multiply(phases[:, -n:, None], out, out=out)
+            np.multiply(phases[:, m:, None], out, out=out)
         return out
 
     def propagators(self, times) -> np.ndarray:
         """exp(-itQ) at every time, shape (T, n, n); t = 0 gives the exact identity."""
-        return self._apply(np.eye(self.n), _as_times(times))
+        eye = np.eye(self.n)
+        return self._apply(eye, _as_times(times), *self._rates, self._projections(eye))
 
     def evolve(self, psi0, times) -> np.ndarray:
         """exp(-itQ) psi0 at every time, shape (T, n), without forming the propagators."""
@@ -216,17 +209,8 @@ class SpectralPlan:
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (self.n,):
             raise InvalidInputError(f"state must have shape ({self.n},), got {psi.shape}")
-        return self._apply(psi[:, None], t)[:, :, 0]
-
-    def _evolve_in_frame(self, psi: np.ndarray, times, frame: np.ndarray) -> np.ndarray:
-        """diag(e^{-i frame t}) exp(-itQ) psi at every time, shape (T, n).
-
-        ``trajectory``'s one call: ``psi`` is a complex (n,) array, ``times``
-        came from ``_as_times`` and ``frame`` holds the (n,) frame rates.  A
-        later call with the same ``frame`` and ``psi`` costs one exponential,
-        one (T, m) @ (m, n) product and the frame product.
-        """
-        return self._apply(psi[:, None], times, frame)[:, :, 0]
+        block = psi[:, None]
+        return self._apply(block, t, *self._rates, self._projections(block))[:, :, 0]
 
 
 def _check_phases(span: float, top: float, n: int) -> None:
@@ -271,7 +255,9 @@ def _rank_one_plan(method: Method, n: int, g: float) -> SpectralPlan:
 
 
 def _at(plan: SpectralPlan, t: float) -> Propagator:
-    return Propagator(plan.n, plan.propagators([t])[0], t, plan.method)
+    matrix = plan.propagators([t])[0]
+    matrix.setflags(write=False)
+    return Propagator(plan.n, matrix, t, plan.method)
 
 
 def propagator_two_level(g: float, t: float) -> Propagator:

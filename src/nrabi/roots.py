@@ -29,6 +29,11 @@ from .model import CouplingMatrix, _real
 # neighbouring roots within this fraction of the spectral radius form one cluster
 _CLUSTER_RTOL = 1e-4
 _RESIDUAL_RTOL = 1e-9
+# Newton's power sums of the returned roots agree with the coefficients' to
+# this fraction of scale^k: a merged cluster moves each root by at most about
+# 1e-4 of the radius, so s_k by under 4e-3 of scale^k, while the roots a
+# collapsed Ferrari split leaves miss some s_k by a multiple of scale^k
+_POWER_SUM_RTOL = 1e-2
 # max|Q| in this band keeps every intermediate of the characteristic
 # polynomials and of the resolvent (its g^6 terms p^3 and q^2) a normal float
 _SAFE_BAND = (2.0 ** -150, 2.0 ** 150)
@@ -196,7 +201,8 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) ->
     derivative, so Newton on that derivative, started from the cluster mean,
     refines it.  A merged pair of distinct roots lies within 5e-5 of the
     radius of each, a merged triple within 1e-4; the cluster's gap of 0 sends
-    the propagator dispatch to diagonalization.
+    the propagator dispatch to diagonalization.  Last, the roots must
+    reproduce the coefficients' power sums (``_check_power_sums``).
     """
     degree = len(poly) - 1
     slope = _derivative(poly)
@@ -220,10 +226,38 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) ->
                     f = _derivative(f)  # the (size - 1)-th derivative, built only here
                 lam[start:k] = [_newton(f, _derivative(f), mean, 3)] * size
             start = k
+    _check_power_sums(lam, poly)
     gap = min(lam[k] - lam[k + 1] for k in range(degree - 1))
     if e:
         lam, gap = [math.ldexp(x, e) for x in lam], math.ldexp(gap, e)
     return Spectrum(eigenvalues=lam, degeneracy_gap=gap, n=degree)
+
+
+def _check_power_sums(lam: list[float], poly: tuple[float, ...]) -> None:
+    """Refuse roots whose power sums s_k = sum lambda^k, k = 1..degree, miss
+    the coefficients' by more than 1e-2 scale^k, with the root scale
+    scale = max(|p|^(1/2), |q|^(1/3), |r|^(1/4)).
+
+    Newton's identities give the sums of lambda^4 + p lambda^2 + q lambda + r
+    from its coefficients alone: s_1..s_4 = 0, -2p, -3q, 2p^2 - 4r; the cubic
+    lambda^3 + p lambda + q is the case r = 0 and needs s_1..s_3.  The
+    residual test checks each root on its own; a polynomial with complex
+    roots can still leave real roots that each pass it, say four zeros when
+    the residual bound is 0, but never with all its power sums right.
+    """
+    p, q, r = poly[2], poly[3], poly[4] if len(poly) == 5 else 0.0
+    scale = max(abs(p) ** 0.5, abs(q) ** (1.0 / 3.0), abs(r) ** 0.25)
+    squares = [x * x for x in lam]
+    sums = (sum(lam), sum(squares), sum([y * x for y, x in zip(squares, lam)]), sum([y * y for y in squares]))
+    expected = (0.0, -2.0 * p, -3.0 * q, 2.0 * p * p - 4.0 * r)
+    bound = _POWER_SUM_RTOL
+    for k in range(len(lam)):
+        bound *= scale
+        if not abs(sums[k] - expected[k]) <= bound:
+            raise InvalidInputError(
+                f"the roots miss the power sum s{k + 1} of the characteristic polynomial; "
+                "coefficients are not from a real symmetric matrix"
+            )
 
 
 def _viete(c1: float, c0: float) -> list[float]:
@@ -301,7 +335,8 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     (near-equal couplings) can look complex by roundoff.  The largest root y
     stays >= 0, so m >= -p/3 > 0 for any Q but Q = 0, where p = q = r = 0 and
     every root is 0.  Coefficients without four real roots fail the residual
-    check instead; the inputs are checked as in ``solve_cubic_depressed``.
+    check or, where the split collapses (p = r = 0, say), the power-sum check
+    instead; the inputs are checked as in ``solve_cubic_depressed``.
 
     The resolvent's terms are of degree 6 in the roots, so coefficients whose
     roots' scale lies outside [2^-150, 2^152] are solved for 2^-e lambda, with

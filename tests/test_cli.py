@@ -314,6 +314,11 @@ class TestRejectsNonFiniteAndMistypedInput:
         err = self.run_simulate(tmp_path, capsys, initial=initial)
         assert "initial must be a level index or a list of [re, im] pairs" in err
 
+    @pytest.mark.parametrize("initial", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
+    def test_initial_amplitudes_of_the_wrong_count(self, tmp_path, capsys, initial):
+        err = self.run_simulate(tmp_path, capsys, initial=initial)
+        assert "initial amplitude list length must equal n" in err
+
     @pytest.mark.parametrize("samples", [100_001, 1e300, 10**400])
     def test_absurd_sample_counts(self, tmp_path, capsys, samples):
         # 1e300 escaped main from numpy.linspace; 10**400 overflowed float()

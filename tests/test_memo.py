@@ -2,11 +2,14 @@
 
 A ``LevelSystem`` keeps its t-independent work (the default-tolerance
 condition verdict, Q, the frame frequencies and one spectral plan per
-requested method) after the first call.  Later calls must give exactly what
+requested method) after the first call.  With each plan it keeps the plan's
+eigen rates joined with the frame rates and P psi0 of the last state
+evolved; the plan itself never changes.  Later calls must give exactly what
 a freshly built, identical system gives, and a check or plan that raises
 must raise again on every call.
 """
 
+import dataclasses
 import importlib
 import re
 
@@ -214,6 +217,19 @@ def test_single_time_calls_equal_one_batched_trajectory(case):
     assert np.array_equal(trajectory(system, psi0, times, method).amplitudes, batched)
 
 
+def test_reference_route_keeps_unit_norm_on_equal_couplings():
+    # a draw that a degree-12 Taylor sum refused: n = 5, every coupling
+    # 1.6875, t = 18.75, where ||tQ||_1 = 127 takes 8 squarings, and the
+    # rounding they add reached the 1e-12 norm bound (1.032e-12)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    energies = (0.0, 1.0, 2.0, 3.0, 4.0)
+    system = LevelSystem.resonant(energies, dict.fromkeys(pairs, 1.6875))
+    full_solution(system, state(5), 18.75, "reference")
+    for g in (0.5, 1.0, 1.25, 1.6875, 2.0, 2.5):
+        system = LevelSystem.resonant(energies, dict.fromkeys(pairs, g))
+        trajectory(system, state(5), np.linspace(-20.0, 20.0, 161), "reference")
+
+
 # (n, equal couplings): every route, automatic or forced, at n = 2..5; a forced
 # route that does not apply must raise the same error on both entry points
 SHAPES = [(n, equal) for n in (2, 3, 4, 5) for equal in (False, True)]
@@ -237,6 +253,34 @@ def test_single_time_equals_the_trajectory_row_bit_for_bit(n, equal, method):
             assert full_solution(memoized, psi0, t, method).amplitudes.tobytes() == row.tobytes()
 
 
+def plan_fields(plan):
+    """Each field of a plan: the object itself, and an array's bytes and write flag."""
+    return [
+        (f.name, id(value), value.tobytes(), value.flags.writeable) if isinstance(value, np.ndarray)
+        else (f.name, id(value), value)
+        for f in dataclasses.fields(plan)
+        for value in [getattr(plan, f.name)]
+    ]
+
+
+@pytest.mark.parametrize("n, equal, method, route", ROUTES)
+def test_calls_leave_a_plan_unchanged(n, equal, method, route):
+    system = LevelSystem.resonant(*system_args(n, equal))
+    psi_a, psi_b = state(n, 1), state(n, 2)
+    full_solution(system, psi_a, 1.0, method)  # builds the plan
+    key = None if method is None else Method(method)
+    plan = system._plans[key].plan
+    before = plan_fields(plan)
+    for psi0 in (psi_a, psi_b, psi_a):
+        plan.propagators(TIMES)
+        plan.evolve(psi0.amplitudes, TIMES)
+        trajectory(system, psi0, TIMES, method)
+        for t in TIMES:
+            full_solution(system, psi0, t, method)
+    assert system._plans[key].plan is plan
+    assert plan_fields(plan) == before
+
+
 class CountingProjectors(np.ndarray):
     """A projector stack that counts the products ``P @ block`` taken with it."""
 
@@ -254,7 +298,7 @@ def test_one_projection_per_state_in_a_run_of_calls(monkeypatch):
     copy_a = StateVector(np.array(psi_a.amplitudes))
     assert copy_a is not psi_a and copy_a.amplitudes is not psi_a.amplitudes
     full_solution(system, psi_a, 1.0)  # builds the plan
-    plan = system._plans[None]
+    plan = system._plans[None].plan
     monkeypatch.setattr(CountingProjectors, "products", 0)
     object.__setattr__(plan, "projectors", plan.projectors.view(CountingProjectors))
     runs = [(psi_a, 0), (copy_a, 0), (psi_b, 1), (psi_a, 2), (psi_b, 3), (copy_a, 4)]

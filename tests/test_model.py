@@ -582,14 +582,14 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("defect", [1e-9, float("nan")])
     def test_every_row_must_have_unit_norm(self, monkeypatch, defect):
-        evolve = SpectralPlan._evolve_in_frame
+        apply = SpectralPlan._apply
 
-        def spoiled(plan, psi0, times, frame):
-            out = evolve(plan, psi0, times, frame)
+        def spoiled(plan, *args):
+            out = apply(plan, *args)
             out[-1] *= 1.0 + defect
             return out
 
-        monkeypatch.setattr(SpectralPlan, "_evolve_in_frame", spoiled)
+        monkeypatch.setattr(SpectralPlan, "_apply", spoiled)
         with pytest.raises(InvalidInputError, match="norm"):
             trajectory(THREE_LEVEL, StateVector.basis(3, 0), [0.0, 1.0, 2.0])
 

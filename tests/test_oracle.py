@@ -274,6 +274,18 @@ class TestEvaluationReuse:
         assert series.h_evals <= 5 * attempted + 3
 
 
+    def test_final_sub_step_off_its_stage_times(self):
+        # the clamped last sub-step ends at t_end, which none of its stage
+        # times hits in floating point, so H is evaluated there once more
+        hamiltonian = lambda t: np.zeros(np.shape(t) + (2, 2))  # noqa: E731
+        psi0, t_end, cfg = StateVector.basis(2, 0), 6.192312603664413, IntegrationConfig(dt=1.3787487399327696)
+        states, accepted, rejected, _ = reference_integrate(hamiltonian, psi0, t_end, 2, cfg)
+        series = integrate_schrodinger(hamiltonian, psi0, t_end, 2, cfg)
+        assert series.h_evals == 11
+        assert np.array_equal(series.states, states)
+        assert (series.steps_accepted, series.steps_rejected) == (accepted, rejected)
+
+
 class TestIntegratorOrder:
     def test_error_shrinks_fourth_order(self, rng):
         a = rng.normal(size=(3, 3))

@@ -231,6 +231,13 @@ class TestClosedEigenvectors:
         assert np.max(np.abs((v * spectrum.eigenvalues) @ v.T - q.entries)) <= 1e-15 * scale
         assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-15
 
+    def test_wrong_eigenvalue_fails_the_residual_check(self):
+        # Q's eigenvalues are near 4.11, -0.91 and -3.20; each given value has
+        # a nonzero D, so its column is built, but that column is no eigenvector
+        q = coupling_matrix([1.0, 3.0, 2.0], 3)
+        with pytest.raises(DegenerateSpectrumError, match="closed-form eigenvector residual exceeds"):
+            eigenvectors_three_level(q, Spectrum([5.0, 0.5, -4.0], 0.1, 3))
+
     def test_zero_matrix_raises(self):
         q = coupling_matrix([0.0, 0.0, 0.0], 3)
         with pytest.raises(DegenerateSpectrumError):

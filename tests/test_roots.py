@@ -202,6 +202,47 @@ class TestQuarticSolver:
         assert spectrum.eigenvalues.tolist() == pytest.approx([g, 0.0, 0.0, -g], rel=1e-12, abs=1e-80)
 
 
+class TestPowerSums:
+    """Roots are checked against the coefficients' power sums s_1..s_4 too."""
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (0.0, -1.0, -1e-12)])
+    def test_collapsed_split_is_refused(self, coeffs):
+        # each has a complex root pair, and each came back as four zeros
+        with pytest.raises(InvalidInputError, match="power sum"):
+            solve_quartic(QuarticCoeffs(*coeffs))
+
+    def test_every_complex_root_draw_is_refused(self):
+        rng = np.random.default_rng(7)
+        complex_draws = 0
+        for _ in range(3000):
+            c = rng.normal(size=3)
+            c[rng.random(3) < 0.3] = 0.0
+            p, q, r = c.tolist()
+            if np.abs(np.roots([1.0, 0.0, p, q, r]).imag).max() <= 1e-9:
+                continue
+            complex_draws += 1
+            with pytest.raises(InvalidInputError):
+                solve_quartic(QuarticCoeffs(p, q, r))
+        assert complex_draws > 2000
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_no_refusal_on_valid_matrices(self, n):
+        # random, sparse, near-equal (relative spread 1e-1 down to 1e-10) and
+        # scaled by 2^-200 or 2^200
+        rng = np.random.default_rng(11 + n)
+        k = n * (n - 1) // 2
+        for draw in range(1000):
+            kind = draw % 4
+            g = rng.uniform(0.0, 2.0, k)
+            if kind == 1:
+                g *= rng.random(k) < 0.5
+            elif kind == 2:
+                g = rng.uniform(0.5, 2.0) * (1.0 + 10.0 ** rng.uniform(-10.0, -1.0) * rng.uniform(-1.0, 1.0, k))
+            elif kind == 3:
+                g = np.ldexp(g, int(rng.choice([-200, 200])))
+            closed_form_spectrum(coupling_matrix(g, n))
+
+
 class TestSpectrumInvariants:
     @pytest.mark.parametrize("n", [3, 4])
     def test_trace_identities_and_gershgorin(self, n, rng):
