@@ -160,28 +160,39 @@ class SpectralPlan:
         return self._phase_rates()
 
     def _projections(self, block: np.ndarray) -> np.ndarray | None:
-        """P_j @ block for every j as a read-only (m, n * k) complex array;
-        None for ``reference``, which holds no projectors."""
+        """P_j @ block for every j as a read-only (m, block.size) complex
+        array, ``block`` a state (n,) or a matrix (n, k); None for
+        ``reference``, which holds no projectors."""
         if self.projectors is None:
             return None
-        # on the interleaved real and imaginary parts, so numpy never makes a
-        # complex copy of the (m, n, n) projector stack
-        parts = np.ascontiguousarray(block, dtype=complex).view(float)
+        # on the interleaved real and imaginary parts, (n, 2k) or (n, 2), so
+        # numpy never makes a complex copy of the (m, n, n) projector stack
+        parts = np.ascontiguousarray(block, dtype=complex).view(float).reshape(self.n, -1)
         projected = (self.projectors @ parts).view(complex).reshape(-1, block.size)
         projected.setflags(write=False)
         return projected
 
     def _apply(self, block, t, rates, top, projected) -> np.ndarray:
-        """exp(-itQ) @ block at every time, shape (T, n, k); t = 0 gives block exactly.
+        """exp(-itQ) @ block at every time, shape (T,) + block.shape: (T, n)
+        rows for a state (n,), a (T, n, k) stack for a matrix (n, k); t = 0
+        gives block exactly.
 
         ``rates`` and ``top`` come from ``_phase_rates`` and ``projected``
-        from ``_projections(block)``.  When ``rates`` also hold frame rates
-        a, shape (n,), row i at time t is then multiplied by e^{-i a_i t};
+        from ``_projections(block)``, so the eigen part is one (T x m) @
+        (m x block.size) product.  When ``rates`` also hold frame rates a,
+        shape (n,), row i at time t is then multiplied by e^{-i a_i t};
         those phases and the eigenphases come from one exponential.  A
-        t * rate past the float range is refused first.
+        t * rate past the float range is refused first.  One time, the
+        single-time calls' case, is tested for overflow and for 0 on its
+        Python float.
         """
-        n, k = block.shape
-        _check_phases(abs(t.item()) if t.size == 1 else float(np.abs(t).max()), top, self.n)
+        if t.size == 1:
+            span = abs(t.item())
+            has_zero = span == 0.0
+        else:
+            span = float(np.abs(t).max())
+            has_zero = np.count_nonzero(t) != t.size
+        _check_phases(span, top, self.n)
         phases = None if rates is None else np.exp(t[:, None] * rates)
         if self.method is Method.REFERENCE:
             from .oracle import reference_expm  # deferred: oracle imports model types
@@ -190,12 +201,16 @@ class SpectralPlan:
             out = np.array([reference_expm(-1j * x * self.q) @ block for x in t])
         else:
             m = len(self.eigenvalues)
-            out = (phases[:, :m] @ projected).reshape(t.size, n, k)
-        if np.count_nonzero(t) != t.size:
+            out = phases[:, :m] @ projected  # (T, n) rows for a state
+            if block.ndim == 2:
+                out = out.reshape(t.size, *block.shape)
+        if has_zero:
             out[t == 0.0] = block
         if phases is not None and phases.shape[1] > m:
-            # phases first: complex products round in operand order (FMA)
-            np.multiply(phases[:, m:, None], out, out=out)
+            # row i times e^{-i a_i t}, phases first: complex products round
+            # in operand order (FMA)
+            frame = phases[:, m:]
+            np.multiply(frame if block.ndim == 1 else frame[:, :, None], out, out=out)
         return out
 
     def propagators(self, times) -> np.ndarray:
@@ -209,8 +224,7 @@ class SpectralPlan:
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (self.n,):
             raise InvalidInputError(f"state must have shape ({self.n},), got {psi.shape}")
-        block = psi[:, None]
-        return self._apply(block, t, *self._rates, self._projections(block))[:, :, 0]
+        return self._apply(psi, t, *self._rates, self._projections(psi))
 
 
 def _check_phases(span: float, top: float, n: int) -> None:
@@ -240,11 +254,15 @@ def _lagrange_nodes(spectrum: Spectrum) -> np.ndarray:
 
 
 @functools.cache
-def _others(m: int) -> np.ndarray:
-    # row j: every index in range(m) but j, built once per m and shared read-only
-    others = np.array([[k for k in range(m) if k != j] for j in range(m)])
-    others.setflags(write=False)
-    return others
+def _factor_columns(m: int) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+    # others[j]: every index in range(m) but j; row i of the (m - 1, m)
+    # column table picks the i-th factor of every P_j; and the m x m
+    # identity.  Built once per m, the arrays read-only
+    others = [[k for k in range(m) if k != j] for j in range(m)]
+    columns, eye = np.array(others).T.copy(), np.eye(m)
+    columns.setflags(write=False)
+    eye.setflags(write=False)
+    return others, columns, eye
 
 
 def _rank_one_plan(method: Method, n: int, g: float) -> SpectralPlan:
@@ -419,51 +437,56 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
     applies it as-is and lets its own preconditions raise.
     """
     method = _method(method)
+    n = q.n
     spectrum = g = None
     if method is None:
-        if q.n == 2:
+        if n == 2:
             method = Method.TWO_LEVEL
         elif (g := equal_coupling_value(q)) is not None:
             method = Method.EQUAL_COUPLING
-        elif q.n in (3, 4):
+        elif n in (3, 4):
             spectrum = closed_form_spectrum(q)
             if spectrum.degeneracy_gap > 0.0:  # the radical solvers merged no cluster
-                method = Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4
+                method = Method.LAGRANGE3 if n == 3 else Method.LAGRANGE4
             else:
                 method = Method.JACOBI
         else:
             method = Method.JACOBI
 
     if method is Method.TWO_LEVEL:
-        if q.n != 2:
-            raise InvalidInputError(f"two-level method needs n = 2, got n = {q.n}")
+        if n != 2:
+            raise InvalidInputError(f"two-level method needs n = 2, got n = {n}")
         return _rank_one_plan(method, 2, float(q.entries[0, 1]))
     if method is Method.EQUAL_COUPLING:
         g = equal_coupling_value(q) if g is None else g  # auto dispatch found it already
         if g is None:
             raise InvalidInputError("couplings are not all equal")
-        return _rank_one_plan(method, q.n, g)
+        return _rank_one_plan(method, n, g)
     if method in _LAGRANGE:
         expected = 3 if method is Method.LAGRANGE3 else 4
-        if q.n != expected:
-            raise InvalidInputError(f"{method.value} needs n = {expected}, got n = {q.n}")
+        if n != expected:
+            raise InvalidInputError(f"{method.value} needs n = {expected}, got n = {n}")
         if spectrum is None:
             spectrum = closed_form_spectrum(q)
-        # P_j = l_j(Q) = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k): one
-        # batched product per factor over the shifted stack, then one division
+        # P_j = l_j(Q) = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k),
+        # multiplied left to right: one batched product per factor column
+        # over the shifted stack, then one division in place
         lam = _lagrange_nodes(spectrum)
         a, nodes = _scaled(q, lam)
-        others = _others(len(lam))
-        factors = (a - nodes[:, None, None] * np.eye(q.n))[others]  # (m, m - 1, n, n)
+        others, columns, eye = _factor_columns(n)  # m = n eigenvalues
+        factors = (a - np.multiply.outer(nodes, eye))[columns]  # A - lambda_k I, (m - 1, m, n, n)
+        products = factors[0]
+        for factor in factors[1:]:
+            products = products @ factor
         lams = nodes.tolist()
-        gaps = [math.prod(lams[j] - lams[k] for k in row) for j, row in enumerate(others.tolist())]
-        products = functools.reduce(np.matmul, factors.swapaxes(0, 1))
-        return SpectralPlan(method, q.n, lam, products / np.array(gaps)[:, None, None])
+        gaps = [math.prod(lams[j] - lams[k] for k in row) for j, row in enumerate(others)]
+        products /= np.array(gaps)[:, None, None]
+        return SpectralPlan(method, n, lam, products)
     if method is Method.REFERENCE:
-        return SpectralPlan(method, q.n, q=q.entries)
+        return SpectralPlan(method, n, q=q.entries)
     if method is Method.CLOSED_EIGEN3:
-        if q.n != 3:
-            raise InvalidInputError(f"closed_eigen3 needs n = 3, got n = {q.n}")
+        if n != 3:
+            raise InvalidInputError(f"closed_eigen3 needs n = 3, got n = {n}")
         decomp = eigenvectors_three_level(q, closed_form_spectrum(q))
     else:
         decomp = jacobi_eigendecompose(q)

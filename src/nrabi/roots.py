@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -109,14 +110,15 @@ def scale_exponent(q: CouplingMatrix) -> int:
     of max|Q|, so that 2^-e Q has max|Q| in [1/2, 1); scaling by a power of
     two is exact.
     """
-    top = max(map(abs, q.entries.ravel().tolist()))
+    top = q._largest
     if top == 0.0 or _SAFE_BAND[0] <= top <= _SAFE_BAND[1]:
         return 0
     return math.frexp(top)[1]
 
 
-def _cubic(g1: float, g2: float, g3: float) -> CubicCoeffs:
-    return CubicCoeffs(c1=g1 * g1 + g2 * g2 + g3 * g3, c0=2.0 * g1 * g2 * g3)
+# the characteristic polynomials' coefficients as plain floats: (c1, c0) and (p, q, r)
+def _cubic(g1: float, g2: float, g3: float) -> tuple[float, float]:
+    return g1 * g1 + g2 * g2 + g3 * g3, 2.0 * g1 * g2 * g3
 
 
 def char_poly_3(q: CouplingMatrix) -> CubicCoeffs:
@@ -127,7 +129,7 @@ def char_poly_3(q: CouplingMatrix) -> CubicCoeffs:
     """
     if q.n != 3:
         raise InvalidInputError(f"char_poly_3 needs n = 3, got n = {q.n}")
-    return _cubic(*_three_couplings(q))
+    return CubicCoeffs(*_cubic(*_three_couplings(q)))
 
 
 def char_poly_4(q: CouplingMatrix) -> QuarticCoeffs:
@@ -141,10 +143,10 @@ def char_poly_4(q: CouplingMatrix) -> QuarticCoeffs:
     """
     if q.n != 4:
         raise InvalidInputError(f"char_poly_4 needs n = 4, got n = {q.n}")
-    return _quartic(*_six_couplings(q))
+    return QuarticCoeffs(*_quartic(*_six_couplings(q)))
 
 
-def _quartic(g1: float, g2: float, g3: float, g4: float, g5: float, g6: float) -> QuarticCoeffs:
+def _quartic(g1: float, g2: float, g3: float, g4: float, g5: float, g6: float) -> tuple[float, float, float]:
     p = -(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5 + g6 * g6)
     qq = -2.0 * (g1 * g2 * g4 + g1 * g5 * g6 + g2 * g3 * g5 + g3 * g4 * g6)
     r = (
@@ -155,7 +157,7 @@ def _quartic(g1: float, g2: float, g3: float, g4: float, g5: float, g6: float) -
         - 2.0 * g1 * g3 * g4 * g5
         - 2.0 * g2 * g4 * g5 * g6
     )
-    return QuarticCoeffs(p=p, q=qq, r=r)
+    return p, qq, r
 
 
 def _horner(poly: tuple[float, ...], x: float) -> float:
@@ -170,47 +172,60 @@ def _derivative(poly: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(c * (degree - k) for k, c in enumerate(poly[:-1]))
 
 
-def _newton(f: tuple[float, ...], df: tuple[float, ...], x: float, steps: int) -> float:
-    """Up to ``steps`` Newton steps on the polynomial f, each kept only if it reduces |f|.
+def _polish(poly: tuple[float, ...], slope: tuple[float, ...], x: float, reach: float) -> tuple[float, float]:
+    """One Newton step on ``poly`` from x, kept only if it reduces |poly|
+    and moves x by at most ``reach``: the root and its residual poly(root).
 
-    The guard protects multiple roots, where the derivative vanishes.
+    The guards protect multiple roots, where the derivative is rounding
+    noise and a step can land on another root.
     """
-    for _ in range(steps):
-        fx = _horner(f, x)
-        dfx = _horner(df, x)
-        if dfx == 0.0:
-            break
+    fx = _horner(poly, x)
+    dfx = _horner(slope, x)
+    if dfx != 0.0:
         candidate = x - fx / dfx
-        if not abs(_horner(f, candidate)) < abs(fx):
-            break
-        x = candidate
-    return x
+        fc = _horner(poly, candidate)
+        if abs(fc) < abs(fx) and abs(candidate - x) <= reach:
+            return candidate, fc
+    return x, fx
 
 
 def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) -> Spectrum:
     """Polish, check, sort and cluster the real roots of the monic ``poly``,
     a polynomial in 2^-e lambda, and scale them back by 2^e.
 
-    Each root gets one Newton step and must then leave a residual below 1e-9
-    of radius^degree, with the spectral radius taken over the polished roots:
-    that is the scale of the coefficients' rounding error, so a root small
-    next to the couplings is not refused.  Then every run of sorted roots
-    whose neighbouring gaps are at most 1e-4 of the spectral radius becomes
-    one value repeated: a root of multiplicity m is only eps^(1/m) accurate
-    when taken from the coefficients, but it is a simple root of the (m-1)-th
-    derivative, so Newton on that derivative, started from the cluster mean,
-    refines it.  A merged pair of distinct roots lies within 5e-5 of the
-    radius of each, a merged triple within 1e-4; the cluster's gap of 0 sends
-    the propagator dispatch to diagonalization.  Last, the roots must
-    reproduce the coefficients' power sums (``_check_power_sums``).
+    Each root gets one Newton step, kept only where it lowers the residual
+    and moves the root by at most 1e-4 of the coefficients' root scale
+    (``_root_scale``): at an exactly repeated root the derivative is
+    rounding noise, and a free step can land on another root.  Each root
+    must then leave a residual below 1e-9 of radius^degree, with the
+    spectral radius taken over the polished roots: that is the scale of the
+    coefficients' rounding error, so a root small next to the couplings is
+    not refused.  Then every run of sorted roots whose neighbouring gaps are
+    at most 1e-4 of the spectral radius becomes one value repeated, the mean
+    of its polished roots: a root of multiplicity m is only eps^(1/m)
+    accurate when taken from the coefficients, but its m estimates scatter
+    around it.  A merged pair of distinct roots so lies within half its gap,
+    5e-5 of the radius, of each, a merged triple within 1e-4.  An exactly
+    repeated pair is a simple root of the derivative, so one Newton step on
+    the derivative refines the pair's mean to roundoff; it is kept only
+    while it stays within 5e-5 of the radius of both roots, which a nearby
+    unmerged root can pull it past.  The cluster's gap of 0 sends the
+    propagator dispatch to diagonalization.  Last, the roots must reproduce
+    the coefficients' power sums (``_check_power_sums``).
     """
     degree = len(poly) - 1
     slope = _derivative(poly)
-    lam = sorted((_newton(poly, slope, x, 1) for x in roots), reverse=True)
+    scale = _root_scale(poly)
+    # a root taken from the coefficients is off by about eps^(1/m) of the
+    # scale at multiplicity m <= 3, well inside this reach
+    reach = _CLUSTER_RTOL * scale
+    # sorted on the roots alone, as the bare roots would sort
+    polished = sorted([_polish(poly, slope, x, reach) for x in roots], key=itemgetter(0), reverse=True)
+    lam = [x for x, _ in polished]
     radius = max(map(abs, lam))
     bound = _RESIDUAL_RTOL * radius ** degree
-    for x in lam:
-        if not abs(_horner(poly, x)) <= bound:
+    for x, residual in polished:
+        if not abs(residual) <= bound:
             raise InvalidInputError(
                 f"root {math.ldexp(x, e)!r} fails the characteristic polynomial residual bound; "
                 "coefficients are not from a real symmetric matrix"
@@ -220,23 +235,32 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) ->
         if k == degree or lam[k - 1] - lam[k] > _CLUSTER_RTOL * radius:
             size = k - start
             if size > 1:
-                mean = sum(lam[start:k]) / size
-                f = slope
-                for _ in range(size - 2):
-                    f = _derivative(f)  # the (size - 1)-th derivative, built only here
-                lam[start:k] = [_newton(f, _derivative(f), mean, 3)] * size
+                value = sum(lam[start:k]) / size
+                if size == 2:
+                    x = _polish(slope, _derivative(slope), value, reach)[0]
+                    if max(x - lam[k - 1], lam[start] - x) <= 0.5 * _CLUSTER_RTOL * radius:
+                        value = x
+                lam[start:k] = [value] * size
             start = k
-    _check_power_sums(lam, poly)
+    _check_power_sums(lam, poly, scale)
     gap = min(lam[k] - lam[k + 1] for k in range(degree - 1))
     if e:
         lam, gap = [math.ldexp(x, e) for x in lam], math.ldexp(gap, e)
     return Spectrum(eigenvalues=lam, degeneracy_gap=gap, n=degree)
 
 
-def _check_power_sums(lam: list[float], poly: tuple[float, ...]) -> None:
+def _root_scale(poly: tuple[float, ...]) -> float:
+    """max(|p|^(1/2), |q|^(1/3), |r|^(1/4)) of lambda^4 + p lambda^2 + q lambda
+    + r (r = 0 for the cubic): every root lies within twice it (Fujiwara's
+    bound)."""
+    p, q, r = poly[2], poly[3], poly[4] if len(poly) == 5 else 0.0
+    return max(abs(p) ** 0.5, abs(q) ** (1.0 / 3.0), abs(r) ** 0.25)
+
+
+def _check_power_sums(lam: list[float], poly: tuple[float, ...], scale: float) -> None:
     """Refuse roots whose power sums s_k = sum lambda^k, k = 1..degree, miss
-    the coefficients' by more than 1e-2 scale^k, with the root scale
-    scale = max(|p|^(1/2), |q|^(1/3), |r|^(1/4)).
+    the coefficients' by more than 1e-2 scale^k, with ``scale`` the root
+    scale (``_root_scale``).
 
     Newton's identities give the sums of lambda^4 + p lambda^2 + q lambda + r
     from its coefficients alone: s_1..s_4 = 0, -2p, -3q, 2p^2 - 4r; the cubic
@@ -246,7 +270,6 @@ def _check_power_sums(lam: list[float], poly: tuple[float, ...]) -> None:
     the residual bound is 0, but never with all its power sums right.
     """
     p, q, r = poly[2], poly[3], poly[4] if len(poly) == 5 else 0.0
-    scale = max(abs(p) ** 0.5, abs(q) ** (1.0 / 3.0), abs(r) ** 0.25)
     squares = [x * x for x in lam]
     sums = (sum(lam), sum(squares), sum([y * x for y, x in zip(squares, lam)]), sum([y * y for y in squares]))
     expected = (0.0, -2.0 * p, -3.0 * q, 2.0 * p * p - 4.0 * r)
@@ -299,9 +322,14 @@ def solve_cubic_depressed(coeffs: CubicCoeffs) -> Spectrum:
             "coefficients are not from a real symmetric matrix"
         )
     try:
-        return _finish_spectrum(_viete(c1, c0), (1.0, 0.0, -c1, -c0))
+        return _cubic_spectrum(c1, c0)
     except OverflowError:
         raise _out_of_range(coeffs) from None
+
+
+def _cubic_spectrum(c1: float, c0: float) -> Spectrum:
+    # the roots of checked coefficients; OverflowError past the float range
+    return _finish_spectrum(_viete(c1, c0), (1.0, 0.0, -c1, -c0))
 
 
 def _root_exponent(p: float, q: float, r: float) -> int:
@@ -347,22 +375,27 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     e = 0.
     """
     p, q, r = (_real(getattr(coeffs, k), f"quartic coefficient {k}") for k in "pqr")
+    try:
+        return _quartic_spectrum(p, q, r)
+    except OverflowError:
+        raise _out_of_range(coeffs) from None
+
+
+def _quartic_spectrum(p: float, q: float, r: float) -> Spectrum:
+    # the roots of checked coefficients; OverflowError past the float range
     e = _root_exponent(p, q, r)
     if e:
         p, q, r = math.ldexp(p, -2 * e), math.ldexp(q, -3 * e), math.ldexp(r, -4 * e)
-    try:
-        m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
-        s = math.sqrt(max(2.0 * m, 0.0))
-        shift = q / (2.0 * s) if s > 0.0 else 0.0
-        roots = []
-        for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
-            half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
-            roots += [-0.5 * b + half, -0.5 * b - half]
-        spectrum = _finish_spectrum(roots, (1.0, 0.0, p, q, r), e)
-    except OverflowError:
-        raise _out_of_range(coeffs) from None
+    m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
+    s = math.sqrt(max(2.0 * m, 0.0))
+    shift = q / (2.0 * s) if s > 0.0 else 0.0
+    roots = []
+    for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
+        half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
+        roots += [-0.5 * b + half, -0.5 * b - half]
+    spectrum = _finish_spectrum(roots, (1.0, 0.0, p, q, r), e)
     if e > 0 and spectrum.spectral_radius > _MAX_QUARTIC_ROOT:
-        raise _out_of_range(coeffs)
+        raise OverflowError
     return spectrum
 
 
@@ -373,17 +406,22 @@ def closed_form_spectrum(q: CouplingMatrix) -> Spectrum:
     solved and its eigenvalues and gap are scaled back by 2^e.
     """
     if q.n == 3:
-        g, coefficients, solve = _three_couplings(q), _cubic, solve_cubic_depressed
+        g, coefficients, solve, kind = _three_couplings(q), _cubic, _cubic_spectrum, CubicCoeffs
     elif q.n == 4:
-        g, coefficients, solve = _six_couplings(q), _quartic, solve_quartic
+        g, coefficients, solve, kind = _six_couplings(q), _quartic, _quartic_spectrum, QuarticCoeffs
     else:
         raise InvalidInputError(
             f"closed-form spectra exist only for n = 3 or 4, got n = {q.n}"
         )
     e = scale_exponent(q)
+    # Q's coefficients are finite reals, c1 >= 0: the solvers' input checks hold
+    c = coefficients(*(math.ldexp(x, -e) for x in g) if e else g)
+    try:
+        scaled = solve(*c)
+    except OverflowError:
+        raise _out_of_range(kind(*c)) from None
     if not e:
-        return solve(coefficients(*g))
-    scaled = solve(coefficients(*(math.ldexp(x, -e) for x in g)))
+        return scaled
     try:
         lam = [math.ldexp(x, e) for x in scaled.eigenvalues.tolist()]
     except OverflowError:

@@ -17,14 +17,18 @@ from nrabi import (
     LevelSystem,
     Method,
     StateVector,
+    build_q,
     closed_form_spectrum,
     eigenvectors_three_level,
     frame_matrix,
+    full_solution,
     jacobi_eigendecompose,
     reference_expm,
     spectral_plan,
     trajectory,
 )
+
+from nrabi.roots import scale_exponent
 
 from conftest import coupling_matrix, random_coupling_matrix
 
@@ -246,3 +250,60 @@ class TestJacobiIsEigh:
             assert decomp.spectrum.degeneracy_gap == pytest.approx(
                 float(np.min(np.abs(np.diff(swept)))), abs=1e-12 * n
             )
+
+
+def single_time_systems():
+    """Seeded fresh resonant n = 3, 4 systems on the Lagrange route, with
+    times: one has a zero coupling, and two are scaled by 2^200 and 2^-200
+    (times by the inverse), so that the projectors are built from 2^-e Q."""
+    rng = np.random.default_rng(26)
+    for k in range(12):
+        n = 3 + k % 2
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = rng.uniform(0.5, 2.0, len(pairs))
+        times = rng.uniform(-10.0, 10.0, 6)
+        if k == 1:
+            g[-1] = 0.0
+        elif k in (2, 3):
+            scale = 200 if k == 2 else -200
+            g, times = np.ldexp(g, scale), np.ldexp(times, -scale)
+        energies = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))))
+        system = LevelSystem.resonant(energies, dict(zip(pairs, g.tolist())))
+        yield system, StateVector(random_state(rng, n)), [0.0, -0.0, *times.tolist()]
+
+
+class TestSingleTimeBytes:
+    """The single-time path gives the bytes of every other way to the same value."""
+
+    def test_full_solution_equals_trajectory_and_evolve_rows(self):
+        scales = set()
+        for system, psi0, times in single_time_systems():
+            plan = spectral_plan(build_q(system))
+            assert plan.method in (Method.LAGRANGE3, Method.LAGRANGE4)
+            scales.add(scale_exponent(build_q(system)))
+            # the frame phases e^{-i acc t} as trajectory forms its rates: real parts -0.0
+            rates = -1j * np.concatenate(([0.0], np.cumsum(system.sequential_frequencies())))
+            rates.real = -0.0
+            for t in times:
+                row = full_solution(system, psi0, t).amplitudes
+                assert row.tobytes() == trajectory(system, psi0, [t]).amplitudes[0].tobytes()
+                frame = np.exp(np.array([t])[:, None] * rates)[0]
+                evolved = plan.evolve(psi0.amplitudes, [t])[0]
+                assert row.tobytes() == (frame * evolved).tobytes()
+                if t == 0.0:
+                    assert row.tobytes() == psi0.amplitudes.tobytes()
+        assert 0 in scales and min(scales) < 0 < max(scales)
+
+    def test_lagrange_projectors_are_the_left_to_right_products(self):
+        for system, _, _ in single_time_systems():
+            q = build_q(system)
+            plan = spectral_plan(q)
+            e = scale_exponent(q)
+            a, lam = np.ldexp(q.entries, -e), np.ldexp(plan.eigenvalues, -e)
+            for j in range(q.n):
+                others = [k for k in range(q.n) if k != j]
+                product = a - lam[others[0]] * np.eye(q.n)
+                for k in others[1:]:
+                    product = product @ (a - lam[k] * np.eye(q.n))
+                gap = math.prod(lam[j] - lam[k] for k in others)
+                assert (product / gap).tobytes() == plan.projectors[j].tobytes()

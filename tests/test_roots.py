@@ -369,3 +369,64 @@ class TestPowerOfTwoScaling:
         # every coupling is finite, the largest eigenvalue (about 3.2e308) is not
         with pytest.raises(InvalidInputError, match="overflow the float range"):
             closed_form_spectrum(coupling_matrix([1.7e308, 1.6e308, 1.5e308], 3))
+
+
+class TestMergedClusters:
+    """A merged cluster is the mean of its polished roots: a pair lies within
+    half its gap, 5e-5 of the spectral radius, of each eigenvalue."""
+
+    def test_pair_beside_an_unmerged_root(self):
+        # a near-equal n = 4 quartic: roots -1.51006, -1.51053, -1.51097 with
+        # relative gaps 1.04e-4 and 9.7e-5, so only the last two merge; Newton
+        # on the derivative, pulled by the unmerged root, put the pair 5.6e-5
+        # of the radius from -1.51053
+        coeffs = QuarticCoeffs(-13.690016151698968, -27.57204841651393, -15.618043291630071)
+        spectrum = solve_quartic(coeffs)
+        oracle = companion_roots([1.0, 0.0, coeffs.p, coeffs.q, coeffs.r])
+        lam = spectrum.eigenvalues
+        assert spectrum.degeneracy_gap == 0.0 and lam[2] == lam[3] != lam[1]
+        radius = np.max(np.abs(oracle))
+        assert np.max(np.abs(lam[2:] - oracle[2:])) <= 5e-5 * radius
+        assert np.max(np.abs(lam[:2] - oracle[:2])) <= 1e-9 * radius
+
+    def test_exact_double_root_stays_in_its_cluster(self):
+        # levels 1, 2, 3 coupled equally, level 0 alone: eigenvalues 2g, 0,
+        # -g, -g.  Ferrari returns -g exactly, where the derivative is
+        # rounding noise; a free Newton step jumped to the root 0, and the
+        # spectrum was refused by the power sums
+        g = 4.796835543276725
+        q = coupling_matrix([0.0, 0.0, 0.0, g, g, g], 4)
+        for spectrum in (closed_form_spectrum(q), solve_quartic(char_poly_4(q))):
+            oracle = np.linalg.eigh(q.entries)[0][::-1]
+            assert spectrum.degeneracy_gap == 0.0
+            assert np.max(np.abs(spectrum.eigenvalues - oracle)) <= 1e-12 * 2.0 * g
+
+    def test_seeded_near_equal_clusters_hold_the_bound(self):
+        # 10 000 valid Q: couplings g0 (1 + delta u), u uniform in [-1, 1],
+        # n = 3 and 4, giving 3688 merged pairs and 2723 merged triples; eigh
+        # is the oracle
+        rng = np.random.default_rng(3)
+        merged = {2: 0, 3: 0}
+        for n in (3, 4):
+            k = n * (n - 1) // 2
+            g = rng.uniform(0.5, 2.0, (5000, 1)) * (
+                1.0 + np.repeat([1e-3, 3e-4, 1e-4, 3e-5], 1250)[:, None] * rng.uniform(-1.0, 1.0, (5000, k))
+            )
+            matrices = [coupling_matrix(row, n) for row in g]
+            oracles = np.linalg.eigvalsh(np.array([q.entries for q in matrices]))[:, ::-1]
+            for q, oracle in zip(matrices, oracles):
+                lam = closed_form_spectrum(q).eigenvalues
+                radius = np.max(np.abs(oracle))
+                start = 0
+                for j in range(1, n + 1):
+                    if j == n or lam[j] != lam[j - 1]:
+                        size = j - start
+                        if size > 1:
+                            # a pair within half its gap of each root, a triple
+                            # within its two gaps, each at most 1e-4 of the
+                            # radius; 1e-11 covers the polished roots' own error
+                            bound = (5e-5 if size == 2 else 1e-4) + 1e-11
+                            assert np.max(np.abs(lam[start:j] - oracle[start:j])) <= bound * radius
+                            merged[size] += 1
+                        start = j
+        assert merged[2] > 3000 and merged[3] > 2000
