@@ -179,12 +179,12 @@ class SpectralPlan:
 
         ``rates`` and ``top`` come from ``_phase_rates`` and ``projected``
         from ``_projections(block)``, so the eigen part is one (T x m) @
-        (m x block.size) product.  When ``rates`` also hold frame rates a,
-        shape (n,), row i at time t is then multiplied by e^{-i a_i t};
-        those phases and the eigenphases come from one exponential.  A
-        t * rate past the float range is refused first.  One time, the
-        single-time calls' case, is tested for overflow and for 0 on its
-        Python float.
+        (m x block.size) product, reshaped.  When ``rates`` also hold frame
+        rates a, shape (n,), which only a state's caller passes, row i at
+        time t is then multiplied by e^{-i a_i t}; those phases and the
+        eigenphases come from one exponential.  A t * rate past the float
+        range is refused first; one time is tested for that and for 0 on
+        its Python float.
         """
         if t.size == 1:
             span = abs(t.item())
@@ -201,16 +201,13 @@ class SpectralPlan:
             out = np.array([reference_expm(-1j * x * self.q) @ block for x in t])
         else:
             m = len(self.eigenvalues)
-            out = phases[:, :m] @ projected  # (T, n) rows for a state
-            if block.ndim == 2:
-                out = out.reshape(t.size, *block.shape)
+            out = (phases[:, :m] @ projected).reshape(t.shape + block.shape)
         if has_zero:
             out[t == 0.0] = block
         if phases is not None and phases.shape[1] > m:
             # row i times e^{-i a_i t}, phases first: complex products round
             # in operand order (FMA)
-            frame = phases[:, m:]
-            np.multiply(frame if block.ndim == 1 else frame[:, :, None], out, out=out)
+            np.multiply(phases[:, m:], out, out=out)
         return out
 
     def propagators(self, times) -> np.ndarray:
@@ -437,35 +434,34 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
     applies it as-is and lets its own preconditions raise.
     """
     method = _method(method)
-    n = q.n
     spectrum = g = None
     if method is None:
-        if n == 2:
+        if q.n == 2:
             method = Method.TWO_LEVEL
         elif (g := equal_coupling_value(q)) is not None:
             method = Method.EQUAL_COUPLING
-        elif n in (3, 4):
+        elif q.n in (3, 4):
             spectrum = closed_form_spectrum(q)
             if spectrum.degeneracy_gap > 0.0:  # the radical solvers merged no cluster
-                method = Method.LAGRANGE3 if n == 3 else Method.LAGRANGE4
+                method = Method.LAGRANGE3 if q.n == 3 else Method.LAGRANGE4
             else:
                 method = Method.JACOBI
         else:
             method = Method.JACOBI
 
     if method is Method.TWO_LEVEL:
-        if n != 2:
-            raise InvalidInputError(f"two-level method needs n = 2, got n = {n}")
+        if q.n != 2:
+            raise InvalidInputError(f"two-level method needs n = 2, got n = {q.n}")
         return _rank_one_plan(method, 2, float(q.entries[0, 1]))
     if method is Method.EQUAL_COUPLING:
         g = equal_coupling_value(q) if g is None else g  # auto dispatch found it already
         if g is None:
             raise InvalidInputError("couplings are not all equal")
-        return _rank_one_plan(method, n, g)
+        return _rank_one_plan(method, q.n, g)
     if method in _LAGRANGE:
         expected = 3 if method is Method.LAGRANGE3 else 4
-        if n != expected:
-            raise InvalidInputError(f"{method.value} needs n = {expected}, got n = {n}")
+        if q.n != expected:
+            raise InvalidInputError(f"{method.value} needs n = {expected}, got n = {q.n}")
         if spectrum is None:
             spectrum = closed_form_spectrum(q)
         # P_j = l_j(Q) = prod_{k != j} (Q - lambda_k I) / (lambda_j - lambda_k),
@@ -473,7 +469,7 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
         # over the shifted stack, then one division in place
         lam = _lagrange_nodes(spectrum)
         a, nodes = _scaled(q, lam)
-        others, columns, eye = _factor_columns(n)  # m = n eigenvalues
+        others, columns, eye = _factor_columns(q.n)  # m = n eigenvalues
         factors = (a - np.multiply.outer(nodes, eye))[columns]  # A - lambda_k I, (m - 1, m, n, n)
         products = factors[0]
         for factor in factors[1:]:
@@ -481,12 +477,12 @@ def spectral_plan(q: CouplingMatrix, method=None) -> SpectralPlan:
         lams = nodes.tolist()
         gaps = [math.prod(lams[j] - lams[k] for k in row) for j, row in enumerate(others)]
         products /= np.array(gaps)[:, None, None]
-        return SpectralPlan(method, n, lam, products)
+        return SpectralPlan(method, q.n, lam, products)
     if method is Method.REFERENCE:
-        return SpectralPlan(method, n, q=q.entries)
+        return SpectralPlan(method, q.n, q=q.entries)
     if method is Method.CLOSED_EIGEN3:
-        if n != 3:
-            raise InvalidInputError(f"closed_eigen3 needs n = 3, got n = {n}")
+        if q.n != 3:
+            raise InvalidInputError(f"closed_eigen3 needs n = 3, got n = {q.n}")
         decomp = eigenvectors_three_level(q, closed_form_spectrum(q))
     else:
         decomp = jacobi_eigendecompose(q)

@@ -20,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -116,9 +115,8 @@ def scale_exponent(q: CouplingMatrix) -> int:
     return math.frexp(top)[1]
 
 
-# the characteristic polynomials' coefficients as plain floats: (c1, c0) and (p, q, r)
-def _cubic(g1: float, g2: float, g3: float) -> tuple[float, float]:
-    return g1 * g1 + g2 * g2 + g3 * g3, 2.0 * g1 * g2 * g3
+def _cubic(g1: float, g2: float, g3: float) -> CubicCoeffs:
+    return CubicCoeffs(c1=g1 * g1 + g2 * g2 + g3 * g3, c0=2.0 * g1 * g2 * g3)
 
 
 def char_poly_3(q: CouplingMatrix) -> CubicCoeffs:
@@ -129,7 +127,7 @@ def char_poly_3(q: CouplingMatrix) -> CubicCoeffs:
     """
     if q.n != 3:
         raise InvalidInputError(f"char_poly_3 needs n = 3, got n = {q.n}")
-    return CubicCoeffs(*_cubic(*_three_couplings(q)))
+    return _cubic(*_three_couplings(q))
 
 
 def char_poly_4(q: CouplingMatrix) -> QuarticCoeffs:
@@ -143,10 +141,10 @@ def char_poly_4(q: CouplingMatrix) -> QuarticCoeffs:
     """
     if q.n != 4:
         raise InvalidInputError(f"char_poly_4 needs n = 4, got n = {q.n}")
-    return QuarticCoeffs(*_quartic(*_six_couplings(q)))
+    return _quartic(*_six_couplings(q))
 
 
-def _quartic(g1: float, g2: float, g3: float, g4: float, g5: float, g6: float) -> tuple[float, float, float]:
+def _quartic(g1: float, g2: float, g3: float, g4: float, g5: float, g6: float) -> QuarticCoeffs:
     p = -(g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4 + g5 * g5 + g6 * g6)
     qq = -2.0 * (g1 * g2 * g4 + g1 * g5 * g6 + g2 * g3 * g5 + g3 * g4 * g6)
     r = (
@@ -157,7 +155,7 @@ def _quartic(g1: float, g2: float, g3: float, g4: float, g5: float, g6: float) -
         - 2.0 * g1 * g3 * g4 * g5
         - 2.0 * g2 * g4 * g5 * g6
     )
-    return p, qq, r
+    return QuarticCoeffs(p=p, q=qq, r=r)
 
 
 def _horner(poly: tuple[float, ...], x: float) -> float:
@@ -172,9 +170,9 @@ def _derivative(poly: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(c * (degree - k) for k, c in enumerate(poly[:-1]))
 
 
-def _polish(poly: tuple[float, ...], slope: tuple[float, ...], x: float, reach: float) -> tuple[float, float]:
+def _polish(poly: tuple[float, ...], slope: tuple[float, ...], x: float, reach: float) -> float:
     """One Newton step on ``poly`` from x, kept only if it reduces |poly|
-    and moves x by at most ``reach``: the root and its residual poly(root).
+    and moves x by at most ``reach``.
 
     The guards protect multiple roots, where the derivative is rounding
     noise and a step can land on another root.
@@ -183,10 +181,9 @@ def _polish(poly: tuple[float, ...], slope: tuple[float, ...], x: float, reach: 
     dfx = _horner(slope, x)
     if dfx != 0.0:
         candidate = x - fx / dfx
-        fc = _horner(poly, candidate)
-        if abs(fc) < abs(fx) and abs(candidate - x) <= reach:
-            return candidate, fc
-    return x, fx
+        if abs(_horner(poly, candidate)) < abs(fx) and abs(candidate - x) <= reach:
+            return candidate
+    return x
 
 
 def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) -> Spectrum:
@@ -219,13 +216,11 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) ->
     # a root taken from the coefficients is off by about eps^(1/m) of the
     # scale at multiplicity m <= 3, well inside this reach
     reach = _CLUSTER_RTOL * scale
-    # sorted on the roots alone, as the bare roots would sort
-    polished = sorted([_polish(poly, slope, x, reach) for x in roots], key=itemgetter(0), reverse=True)
-    lam = [x for x, _ in polished]
+    lam = sorted((_polish(poly, slope, x, reach) for x in roots), reverse=True)
     radius = max(map(abs, lam))
     bound = _RESIDUAL_RTOL * radius ** degree
-    for x, residual in polished:
-        if not abs(residual) <= bound:
+    for x in lam:
+        if not abs(_horner(poly, x)) <= bound:
             raise InvalidInputError(
                 f"root {math.ldexp(x, e)!r} fails the characteristic polynomial residual bound; "
                 "coefficients are not from a real symmetric matrix"
@@ -237,7 +232,7 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) ->
             if size > 1:
                 value = sum(lam[start:k]) / size
                 if size == 2:
-                    x = _polish(slope, _derivative(slope), value, reach)[0]
+                    x = _polish(slope, _derivative(slope), value, reach)
                     if max(x - lam[k - 1], lam[start] - x) <= 0.5 * _CLUSTER_RTOL * radius:
                         value = x
                 lam[start:k] = [value] * size
@@ -322,14 +317,9 @@ def solve_cubic_depressed(coeffs: CubicCoeffs) -> Spectrum:
             "coefficients are not from a real symmetric matrix"
         )
     try:
-        return _cubic_spectrum(c1, c0)
+        return _finish_spectrum(_viete(c1, c0), (1.0, 0.0, -c1, -c0))
     except OverflowError:
         raise _out_of_range(coeffs) from None
-
-
-def _cubic_spectrum(c1: float, c0: float) -> Spectrum:
-    # the roots of checked coefficients; OverflowError past the float range
-    return _finish_spectrum(_viete(c1, c0), (1.0, 0.0, -c1, -c0))
 
 
 def _root_exponent(p: float, q: float, r: float) -> int:
@@ -375,27 +365,22 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     e = 0.
     """
     p, q, r = (_real(getattr(coeffs, k), f"quartic coefficient {k}") for k in "pqr")
-    try:
-        return _quartic_spectrum(p, q, r)
-    except OverflowError:
-        raise _out_of_range(coeffs) from None
-
-
-def _quartic_spectrum(p: float, q: float, r: float) -> Spectrum:
-    # the roots of checked coefficients; OverflowError past the float range
     e = _root_exponent(p, q, r)
     if e:
         p, q, r = math.ldexp(p, -2 * e), math.ldexp(q, -3 * e), math.ldexp(r, -4 * e)
-    m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
-    s = math.sqrt(max(2.0 * m, 0.0))
-    shift = q / (2.0 * s) if s > 0.0 else 0.0
-    roots = []
-    for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
-        half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
-        roots += [-0.5 * b + half, -0.5 * b - half]
-    spectrum = _finish_spectrum(roots, (1.0, 0.0, p, q, r), e)
+    try:
+        m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
+        s = math.sqrt(max(2.0 * m, 0.0))
+        shift = q / (2.0 * s) if s > 0.0 else 0.0
+        roots = []
+        for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
+            half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
+            roots += [-0.5 * b + half, -0.5 * b - half]
+        spectrum = _finish_spectrum(roots, (1.0, 0.0, p, q, r), e)
+    except OverflowError:
+        raise _out_of_range(coeffs) from None
     if e > 0 and spectrum.spectral_radius > _MAX_QUARTIC_ROOT:
-        raise OverflowError
+        raise _out_of_range(coeffs)
     return spectrum
 
 
@@ -406,22 +391,17 @@ def closed_form_spectrum(q: CouplingMatrix) -> Spectrum:
     solved and its eigenvalues and gap are scaled back by 2^e.
     """
     if q.n == 3:
-        g, coefficients, solve, kind = _three_couplings(q), _cubic, _cubic_spectrum, CubicCoeffs
+        g, coefficients, solve = _three_couplings(q), _cubic, solve_cubic_depressed
     elif q.n == 4:
-        g, coefficients, solve, kind = _six_couplings(q), _quartic, _quartic_spectrum, QuarticCoeffs
+        g, coefficients, solve = _six_couplings(q), _quartic, solve_quartic
     else:
         raise InvalidInputError(
             f"closed-form spectra exist only for n = 3 or 4, got n = {q.n}"
         )
     e = scale_exponent(q)
-    # Q's coefficients are finite reals, c1 >= 0: the solvers' input checks hold
-    c = coefficients(*(math.ldexp(x, -e) for x in g) if e else g)
-    try:
-        scaled = solve(*c)
-    except OverflowError:
-        raise _out_of_range(kind(*c)) from None
     if not e:
-        return scaled
+        return solve(coefficients(*g))
+    scaled = solve(coefficients(*(math.ldexp(x, -e) for x in g)))
     try:
         lam = [math.ldexp(x, e) for x in scaled.eigenvalues.tolist()]
     except OverflowError:
