@@ -120,11 +120,21 @@ def _as_times(times) -> np.ndarray:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a C-contiguous complex (T, n) array.
 
-    One real reduction over the interleaved parts; the one norm behind
-    StateVector's invariant and ``trajectory``'s row check.
+    The squares of the interleaved real and imaginary parts, summed by one
+    matrix-vector product with ones (BLAS, and few numpy calls at T = 1);
+    the one norm behind StateVector's invariant and ``trajectory``'s row
+    check.
     """
     parts = a.view(float)
-    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    return np.sqrt(np.square(parts).dot(_ones(parts.shape[1])))
+
+
+@cache
+def _ones(k: int) -> np.ndarray:
+    # k ones, shared read-only per length
+    ones = np.ones(k)
+    ones.setflags(write=False)
+    return ones
 
 
 def _level_pairs(n: int) -> list[Pair]:
@@ -252,6 +262,8 @@ class LevelSystem:
         object.__setattr__(self, "_pairs", table)
         # read by has_phases, trajectory and hamiltonian_rwa
         object.__setattr__(self, "_phased", any(phi))
+        # requested method (None for auto) -> plan of Q and its reuse; filled by trajectory
+        object.__setattr__(self, "_plans", {})
 
     def __reduce__(self):
         # read-only maps do not pickle; a copy is rebuilt (and re-validated)
@@ -288,7 +300,8 @@ class LevelSystem:
         return self._pairs.sequential.copy()
 
     def max_drive_frequency(self) -> float:
-        return float(np.abs(self._pairs.omega).max())
+        # over Python floats, the float np.abs(omega).max() gives
+        return max(map(abs, self._pairs.omega.tolist()))
 
     def has_phases(self) -> bool:
         return self._phased
@@ -299,7 +312,8 @@ class LevelSystem:
         return LevelSystem(self.energies, self.couplings, self.drive_frequencies)
 
     # The closed-form memo: what ``trajectory`` needs that does not depend on
-    # t.  A cached_property stores nothing when it raises, so a failure is
+    # t, with the plans in ``_plans``, made empty at construction.  A
+    # cached_property stores nothing when it raises, so a failure is
     # recomputed (and raised again) on every call.
 
     @cached_property
@@ -315,7 +329,7 @@ class LevelSystem:
     def _frame_frequencies(self) -> np.ndarray:
         # (0, omega_1, omega_1 + omega_2, ...): the frame phase rates of U(t),
         # summed left to right as np.cumsum does
-        acc = np.array([0.0, *accumulate(self.sequential_frequencies().tolist())])
+        acc = np.array([0.0, *accumulate(self._pairs.sequential.tolist())])
         acc.setflags(write=False)
         return acc
 
@@ -325,11 +339,6 @@ class LevelSystem:
         h0 = np.diag(self.detunings().astype(complex))
         h0.setflags(write=False)
         return h0
-
-    @cached_property
-    def _plans(self) -> dict[Method | None, _PlanEntry]:
-        # requested method (None for auto) -> plan of Q and its reuse; filled by trajectory
-        return {}
 
 
 class _PlanEntry:
@@ -367,9 +376,23 @@ class CouplingMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "CouplingMatrix":
+        # a fresh float (n, n) array, n >= 2, that is finite, zero on the
+        # diagonal and exactly symmetric by construction, as build_q's
+        matrix = object.__new__(cls)
+        a.setflags(write=False)
+        object.__setattr__(matrix, "entries", a)
+        return matrix
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _largest(self) -> float:
+        # max |Q_ij| over Python floats, found once per Q: roots.scale_exponent reads it
+        return max(map(abs, self.entries.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -458,12 +481,15 @@ def build_q(system: LevelSystem) -> CouplingMatrix:
     """Assemble Q: Q[i][j] = g_ij off the diagonal, zeros on it.
 
     Q depends only on the couplings, not on energies, frequencies or phases.
+    The system's couplings are finite and each pair i < j is written to both
+    (i, j) and (j, i), so Q is finite, zero on the diagonal and exactly
+    symmetric without ``CouplingMatrix``'s checks.
     """
     p = system._pairs
     q = np.zeros((system.n, system.n))
     q[p.rows, p.cols] = p.g
     q[p.cols, p.rows] = p.g
-    return CouplingMatrix(q)
+    return CouplingMatrix._trusted(q)
 
 
 def _tolerance(system: LevelSystem, tol) -> float:
@@ -483,7 +509,7 @@ def check_resonance(system: LevelSystem, tol: float | None = None) -> ConditionR
     """
     tol = _tolerance(system, tol)
     e = system.energies
-    seq = system.sequential_frequencies().tolist()
+    seq = system._pairs.sequential.tolist()
     residuals = {f"omega[{j - 1},{j}]": abs(w - (e[j] - e[j - 1])) for j, w in enumerate(seq, 1)}
     worst = max(residuals.values())
     return ConditionReport(worst <= tol, residuals, worst, tol)
@@ -688,15 +714,19 @@ def _framed_rows(system, psi0, times, method, tol) -> tuple[np.ndarray, np.ndarr
         entry = system._plans[key] = _PlanEntry(_propagator.spectral_plan(system._q, key), system._frame_frequencies)
     plan = entry.plan
     times = _as_times(times)
-    psi = psi0.amplitudes[:, None]
+    psi = psi0.amplitudes
     state = psi.tobytes()
     if entry.projected[0] != state:
         entry.projected = (state, plan._projections(psi))
-    amplitudes = plan._apply(psi, times, *entry.rates, entry.projected[1])[:, :, 0]
-    defect = np.abs(_row_norms(amplitudes) - 1.0)
-    ok = defect <= _NORM_ATOL  # NaN is not ok
-    if np.count_nonzero(ok) != ok.size:
-        k = int(np.argmin(ok))
+    amplitudes = plan._apply(psi, times, *entry.rates, entry.projected[1])
+    norms = _row_norms(amplitudes)
+    if norms.size == 1:  # one time, the single-time calls' case: on its Python float
+        ok = abs(norms.item() - 1.0) <= _NORM_ATOL
+    else:
+        ok = np.count_nonzero(np.abs(norms - 1.0) <= _NORM_ATOL) == norms.size
+    if not ok:  # NaN is not ok
+        defect = np.abs(norms - 1.0)
+        k = int(np.argmin(defect <= _NORM_ATOL))
         raise InvalidInputError(
             f"state norm at t = {float(times[k])!r} deviates from 1 by {float(defect[k]):.3e}, "
             f"more than {_NORM_ATOL} ({plan.method.value} route)"

@@ -185,6 +185,21 @@ class TestBuildQ:
         assert np.trace(q.entries) == 0.0
         assert np.array_equal(q.entries, q.entries.T)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_trusted_entries_are_what_the_checked_constructor_keeps(self, n):
+        # build_q skips CouplingMatrix's checks: its Q must pass them as built,
+        # from Python floats and from numpy float64 and float32 couplings, a zero among them
+        rng = np.random.default_rng(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = rng.uniform(0.0, 2.0, len(pairs))
+        g[n % len(pairs)] = 0.0
+        energies = np.cumsum(rng.uniform(0.5, 1.5, n))
+        for values in (g.tolist(), list(g), list(g.astype(np.float32))):
+            q = build_q(LevelSystem.resonant(energies, dict(zip(pairs, values)))).entries
+            assert q.dtype == np.float64 and not q.flags.writeable
+            assert np.all(q.diagonal() == 0.0) and q.tobytes() == q.T.copy().tobytes()
+            assert q.tobytes() == CouplingMatrix(q).entries.tobytes()
+
 
 class TestCouplingMatrix:
     def test_rejects_nonzero_diagonal(self):
@@ -551,6 +566,28 @@ class TestTrajectory:
             r"more than 1e-12 \(lagrange4 route\)",
             str(excinfo.value),
         )
+
+    def test_single_time_norm_check_decides_as_the_array_check(self):
+        # one time is checked on its Python float, two on the array: the same
+        # row passes or fails both, with the same message
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        system = LevelSystem.resonant(
+            (0.0, 1.0, 2.0, 3.0), {p: 1.001 if p == (0, 1) else 1.0 for p in pairs}
+        )
+        psi0 = StateVector.basis(4, 0)
+        outcomes = set()
+        for t in np.linspace(0.0, 10.0, 101).tolist():
+            messages = []
+            for call in (lambda: full_solution(system, psi0, t, "lagrange4"),
+                         lambda: trajectory(system, psi0, [t, t], "lagrange4")):
+                try:
+                    call()
+                    messages.append(None)
+                except InvalidInputError as exc:
+                    messages.append(str(exc))
+            assert messages[0] == messages[1]
+            outcomes.add(messages[0] is None)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("times", [[0.0, float("nan")], [float("inf")], [], [[1.0]]])
     def test_rejects_bad_times(self, times):
