@@ -30,6 +30,7 @@ from .model import (
     StateVector,
     _count,
     _real,
+    _shown,
     build_q,
     check_consistency,
     check_resonance,
@@ -75,7 +76,7 @@ def _number(value, what: str) -> float:
     try:
         return _real(value, what)
     except InvalidInputError:
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+        raise ScenarioError(f"{what} must be a number, got {_shown(value)}") from None
 
 
 def _integer(value, what: str, minimum: int) -> int:
@@ -119,7 +120,7 @@ def _check_coupling(k: int, item, earlier: set) -> None:
     # earlier: the pairs of the entries before it, to which this one is added
     pair = tuple(_integer(item[key], f"couplings[{k}].{key}", 0) for key in "ij")
     if pair in earlier:
-        raise ScenarioError(f"couplings[{k}] repeats the pair {pair}")
+        raise ScenarioError(f"couplings[{k}] repeats the pair {_shown(pair)}")
     earlier.add(pair)
     for key in ("g", "omega", "phi") if "phi" in item else ("g", "omega"):
         _number(item[key], f"couplings[{k}].{key}")
@@ -129,7 +130,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     try:
         raw_levels = data["levels"]
         if not isinstance(raw_levels, (list, tuple)):
-            raise ScenarioError(f"levels must be an array of numbers, got {raw_levels!r}")
+            raise ScenarioError(f"levels must be an array of numbers, got {_shown(raw_levels)}")
         levels = [_number(x, f"levels[{k}]") for k, x in enumerate(raw_levels)]
         entries = list(data["couplings"])
         try:
@@ -144,7 +145,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if isinstance(raw_initial, (int, float)) and not isinstance(raw_initial, bool):
             initial: int | tuple = _integer(raw_initial, "initial", 0)
             if initial >= system.n:
-                raise ScenarioError(f"initial level index {raw_initial!r} out of range")
+                raise ScenarioError(f"initial level index {_shown(raw_initial)} out of range")
         else:
             if not isinstance(raw_initial, (list, tuple)) or not all(
                 isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw_initial
@@ -166,10 +167,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if samples > _MAX_SAMPLES:
             raise ScenarioError(f"samples must be at most {_MAX_SAMPLES}")
         method = data.get("method")
-        if method is not None:
-            method = str(method)
-            if method != "auto" and method not in Method._value2member_map_:
-                raise ScenarioError(f"unknown method {method!r}")
+        _method(method)  # a name that is no method is refused here
         return Scenario(system, initial, t_end, samples, method)
     except ScenarioError:
         raise
@@ -416,11 +414,15 @@ def _condition_failure(exc: ConditionError) -> int:
     return 2
 
 
-def _resolve_method(scenario: Scenario, flag: str | None):
-    chosen = flag if flag is not None else scenario.method
-    if chosen in (None, "auto"):
+def _method(name) -> Method | None:
+    # the one reading of a method name, a scenario's or --method's: None and
+    # "auto" leave the route to dispatch, any other name goes through Method
+    if name is None or name == "auto":
         return None
-    return Method(chosen)
+    try:
+        return Method(name)
+    except ValueError:
+        raise ScenarioError(f"unknown method {_shown(name)}") from None
 
 
 def cmd_simulate(scenario_path: str, out_path: str, method: str | None = None) -> int:
@@ -428,7 +430,7 @@ def cmd_simulate(scenario_path: str, out_path: str, method: str | None = None) -
     scenario = load_scenario(scenario_path)
     system = scenario.system
     psi0 = scenario.initial_state()
-    forced = _resolve_method(scenario, method)
+    forced = _method(scenario.method if method is None else method)
     times = _times(scenario)
     try:
         traj = trajectory(system, psi0, times, forced)
@@ -503,7 +505,7 @@ def cmd_compare(
     system = scenario.system
     stripped = system.without_phases()
     psi0 = scenario.initial_state()
-    forced = _resolve_method(scenario, method)
+    forced = _method(scenario.method if method is None else method)
     times = _times(scenario)
     n = system.n
     try:
@@ -554,12 +556,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser as it was
     parser = _Parser(prog="nrabi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    method_choices = ["auto"] + [m.value for m in Method]
+    method_help = "auto (the default) or a propagator method, " + ", ".join(Method)
 
     sim = sub.add_parser("simulate", help="closed-form trajectory to CSV")
     sim.add_argument("scenario")
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--method", choices=method_choices)
+    sim.add_argument("--method", help=method_help)
 
     ver = sub.add_parser("verify", help="report the reduction conditions")
     ver.add_argument("scenario")
@@ -570,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="closed form vs RWA vs cosine drive")
     cmp_.add_argument("scenario")
     cmp_.add_argument("--out", required=True, help="output CSV path")
-    cmp_.add_argument("--method", choices=method_choices)
+    cmp_.add_argument("--method", help=method_help)
     cmp_.add_argument("--rtol", type=float, help="integrator relative tolerance")
     cmp_.add_argument("--atol", type=float, help="integrator absolute tolerance")
 

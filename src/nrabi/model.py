@@ -73,20 +73,13 @@ def _count(x, what: str, minimum: int, maximum: int | None = None) -> int:
 
 
 def _shown(x) -> str:
-    # the repr of 10**400 has 401 digits, and Python writes no int past 4300
+    # repr(x) in a refusal, but an int past 64 bits, also in a tuple (a pair key), by its
+    # bit count: the repr of 10**400 has 401 digits, and Python writes no int past 4300
+    if isinstance(x, tuple):
+        return f"({', '.join(map(_shown, x))}{',' if len(x) == 1 else ''})"
     if isinstance(x, int) and x.bit_length() > 64:
         return f"an integer of {x.bit_length()} bits"
     return repr(x)
-
-
-def _repr(x) -> str:
-    # repr(x), a pair key say; where Python cannot write an int in it, _shown's words
-    try:
-        return repr(x)
-    except ValueError:  # an int past the 4300-digit limit
-        if isinstance(x, tuple):
-            return f"({', '.join(map(_repr, x))}{',' if len(x) == 1 else ''})"
-        return _shown(x)
 
 
 def _as_times(times) -> np.ndarray:
@@ -184,11 +177,11 @@ def _pair_map(values, n: int, what: str) -> dict[Pair, float]:
 def _check_pair(key, value, n: int, what: str, earlier: dict) -> tuple[Pair, float]:
     # one entry's rules in order, the first broken one raising; earlier: the sorted pairs before it
     if not (isinstance(key, tuple) and len(key) == 2):
-        raise InvalidInputError(f"{what} key {_repr(key)} is not a valid level pair")
+        raise InvalidInputError(f"{what} key {_shown(key)} is not a valid level pair")
     index = f"{what} key index"
     i, j = sorted((_count(key[0], index, 0), _count(key[1], index, 0)))
     if i == j or j >= n:
-        raise InvalidInputError(f"{what} key {_repr(key)} is not a valid level pair")
+        raise InvalidInputError(f"{what} key {_shown(key)} is not a valid level pair")
     if (i, j) in earlier:
         raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
     return (i, j), _real(value, f"{what}[{i},{j}]")
@@ -459,7 +452,7 @@ class StateVector:
         """|index> in n levels: n and index are counts (see ``_count``), index < n."""
         n = _count(n, "n", 2, _MAX_LEVELS)
         if _count(index, "basis index", 0) >= n:
-            raise InvalidInputError(f"basis index must be below n = {n}, got {_repr(index)}")
+            raise InvalidInputError(f"basis index must be below n = {n}, got {_shown(index)}")
         a = np.zeros(n, dtype=complex)
         a[index] = 1.0
         return cls(a)

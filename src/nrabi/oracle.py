@@ -42,8 +42,8 @@ class IntegrationConfig:
 
     def __post_init__(self):
         for name in ("dt", "rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if _real(value, name) <= 0.0:
+            value = _real(getattr(self, name), name)
+            if value <= 0.0:
                 raise InvalidInputError(f"{name} must be positive, got {value!r}")
         _count(self.max_steps, "max_steps", 1)
 

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidInputError
-from .model import _MAX_LEVELS, CouplingMatrix, _as_times, _count, _real, _upper_triangle
+from .model import _MAX_LEVELS, CouplingMatrix, _as_times, _count, _real, _shown, _upper_triangle
 from .roots import Spectrum, closed_form_spectrum, scale_exponent
 
 #: relative eigenvalue gap below which the Lagrange gap products lose too
@@ -68,7 +68,7 @@ def _method(method) -> Method | None:
     try:
         return Method(method)
     except ValueError:
-        raise InvalidInputError(f"unknown propagator method {method!r}") from None
+        raise InvalidInputError(f"unknown propagator method {_shown(method)}") from None
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,11 @@ class SpectralPlan:
     that sum to I, both finite or InvalidInputError.  ``q`` holds the entries
     of Q for the reference exponential.
 
-    A plan is never changed after construction.  Its own phase rates are
-    worked out on first use and kept (``_rates``); a caller that evaluates
-    the plan in a frame or on one state many times keeps the joined rates
-    (``_phase_rates``) and the projections (``_projections``) itself.
+    A plan is never changed after construction and keeps nothing it works
+    out: ``propagators`` and ``evolve`` form the rates (``_phase_rates``)
+    and the projections (``_projections``) on every call, and a caller that
+    evaluates the plan in a frame or on one state many times keeps them
+    itself.
     """
 
     method: Method
@@ -153,11 +154,6 @@ class SpectralPlan:
             # counts as its rate, so that t Q stays finite
             top = max(top, max(map(abs, self.q.ravel().tolist())))
         return rates, top
-
-    @functools.cached_property
-    def _rates(self) -> tuple[np.ndarray | None, float]:
-        # the plan's own rates -i lambda and their largest magnitude, kept: the fields are read-only
-        return self._phase_rates()
 
     def _projections(self, block: np.ndarray) -> np.ndarray | None:
         """P_j @ block for every j as a read-only (m, block.size) complex
@@ -213,7 +209,7 @@ class SpectralPlan:
     def propagators(self, times) -> np.ndarray:
         """exp(-itQ) at every time, shape (T, n, n); t = 0 gives the exact identity."""
         eye = np.eye(self.n)
-        return self._apply(eye, _as_times(times), *self._rates, self._projections(eye))
+        return self._apply(eye, _as_times(times), *self._phase_rates(), self._projections(eye))
 
     def evolve(self, psi0, times) -> np.ndarray:
         """exp(-itQ) psi0 at every time, shape (T, n), without forming the propagators."""
@@ -221,7 +217,7 @@ class SpectralPlan:
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (self.n,):
             raise InvalidInputError(f"state must have shape ({self.n},), got {psi.shape}")
-        return self._apply(psi, t, *self._rates, self._projections(psi))
+        return self._apply(psi, t, *self._phase_rates(), self._projections(psi))
 
 
 def _check_phases(span: float, top: float, n: int) -> None:
@@ -270,6 +266,7 @@ def _rank_one_plan(method: Method, n: int, g: float) -> SpectralPlan:
 
 
 def _at(plan: SpectralPlan, t: float) -> Propagator:
+    t = _as_times([t]).item()  # the checked time, a Python float
     matrix = plan.propagators([t])[0]
     matrix.setflags(write=False)
     return Propagator(plan.n, matrix, t, plan.method)
@@ -299,9 +296,9 @@ def lagrange_coeffs(spectrum: Spectrum, t: float) -> LagrangeCoeffs:
     spectrum is rejected, and so is a t that is not a finite int or float
     or whose t * lambda passes the float range.
     """
-    span = abs(_as_times([t]).item())
+    t = _as_times([t]).item()  # the checked time, a Python float
     lam = _lagrange_nodes(spectrum)
-    _check_phases(span, spectrum.spectral_radius, spectrum.n)
+    _check_phases(abs(t), spectrum.spectral_radius, spectrum.n)
     f = np.linalg.solve(np.vander(lam, increasing=True), np.exp(-1j * t * lam))
     return LagrangeCoeffs(f=f, t=t, spectrum=spectrum)
 
@@ -402,7 +399,7 @@ def propagator_from_eigen(
     ``method`` labels the result: ``jacobi`` or ``closed_eigen3``.
     """
     if method not in (Method.JACOBI, Method.CLOSED_EIGEN3):
-        raise InvalidInputError(f"an eigendecomposition is jacobi or closed_eigen3, not {method!r}")
+        raise InvalidInputError(f"an eigendecomposition is jacobi or closed_eigen3, not {_shown(method)}")
     return _at(_eigen_plan(Method(method), decomp), t)
 
 

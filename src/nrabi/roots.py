@@ -193,22 +193,26 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) ->
     Each root gets one Newton step, kept only where it lowers the residual
     and moves the root by at most 1e-4 of the coefficients' root scale
     (``_root_scale``): at an exactly repeated root the derivative is
-    rounding noise, and a free step can land on another root.  Each root
-    must then leave a residual below 1e-9 of radius^degree, with the
-    spectral radius taken over the polished roots: that is the scale of the
-    coefficients' rounding error, so a root small next to the couplings is
-    not refused.  Then every run of sorted roots whose neighbouring gaps are
-    at most 1e-4 of the spectral radius becomes one value repeated, the mean
-    of its polished roots: a root of multiplicity m is only eps^(1/m)
-    accurate when taken from the coefficients, but its m estimates scatter
-    around it.  A merged pair of distinct roots so lies within half its gap,
-    5e-5 of the radius, of each, a merged triple within 1e-4.  An exactly
-    repeated pair is a simple root of the derivative, so one Newton step on
-    the derivative refines the pair's mean to roundoff; it is kept only
-    while it stays within 5e-5 of the radius of both roots, which a nearby
-    unmerged root can pull it past.  The cluster's gap of 0 sends the
-    propagator dispatch to diagonalization.  Last, the roots must reproduce
-    the coefficients' power sums (``_check_power_sums``).
+    rounding noise, and a free step can land on another root.  Every root
+    must then lie within twice the root scale, Fujiwara's bound on the roots
+    of any polynomial, which also keeps radius^degree inside the float
+    range: a root beyond it, as a collapsed Ferrari split can leave, is
+    refused.  Each root must then leave a residual below 1e-9 of
+    radius^degree, with the spectral radius taken over the polished roots:
+    that is the scale of the coefficients' rounding error, so a root small
+    next to the couplings is not refused.  Then every run of sorted roots
+    whose neighbouring gaps are at most 1e-4 of the spectral radius becomes
+    one value repeated, the mean of its polished roots: a root of
+    multiplicity m is only eps^(1/m) accurate when taken from the
+    coefficients, but its m estimates scatter around it.  A merged pair of
+    distinct roots so lies within half its gap, 5e-5 of the radius, of each,
+    a merged triple within 1e-4.  An exactly repeated pair is a simple root
+    of the derivative, so one Newton step on the derivative refines the
+    pair's mean to roundoff; it is kept only while it stays within 5e-5 of
+    the radius of both roots, which a nearby unmerged root can pull it past.
+    The cluster's gap of 0 sends the propagator dispatch to diagonalization.
+    Last, the roots must reproduce the coefficients' power sums
+    (``_check_power_sums``).
     """
     degree = len(poly) - 1
     slope = _derivative(poly)
@@ -218,6 +222,11 @@ def _finish_spectrum(roots: list[float], poly: tuple[float, ...], e: int = 0) ->
     reach = _CLUSTER_RTOL * scale
     lam = sorted((_polish(poly, slope, x, reach) for x in roots), reverse=True)
     radius = max(map(abs, lam))
+    if not radius <= 2.0 * scale:
+        raise InvalidInputError(
+            "a root lies beyond twice the root scale (Fujiwara's bound); "
+            "coefficients are not from a real symmetric matrix"
+        )
     bound = _RESIDUAL_RTOL * radius ** degree
     for x in lam:
         if not abs(_horner(poly, x)) <= bound:
@@ -352,9 +361,12 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     cancellation error relative to p^2, so a double or triple resolvent root
     (near-equal couplings) can look complex by roundoff.  The largest root y
     stays >= 0, so m >= -p/3 > 0 for any Q but Q = 0, where p = q = r = 0 and
-    every root is 0.  Coefficients without four real roots fail the residual
-    check or, where the split collapses (p = r = 0, say), the power-sum check
-    instead; the inputs are checked as in ``solve_cubic_depressed``.
+    every root is 0.  Coefficients without four real roots fail the root
+    checks of ``_finish_spectrum``, the one owner of that verdict: a split
+    that collapses can leave a root beyond Fujiwara's bound (twice the root
+    scale), a root that fails the residual check, or, with p = r = 0 say,
+    roots that miss a power sum.  The inputs are checked as in
+    ``solve_cubic_depressed``.
 
     The resolvent's terms are of degree 6 in the roots, so coefficients whose
     roots' scale lies outside [2^-150, 2^152] are solved for 2^-e lambda, with
@@ -368,17 +380,14 @@ def solve_quartic(coeffs: QuarticCoeffs) -> Spectrum:
     e = _root_exponent(p, q, r)
     if e:
         p, q, r = math.ldexp(p, -2 * e), math.ldexp(q, -3 * e), math.ldexp(r, -4 * e)
-    try:
-        m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
-        s = math.sqrt(max(2.0 * m, 0.0))
-        shift = q / (2.0 * s) if s > 0.0 else 0.0
-        roots = []
-        for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
-            half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
-            roots += [-0.5 * b + half, -0.5 * b - half]
-        spectrum = _finish_spectrum(roots, (1.0, 0.0, p, q, r), e)
-    except OverflowError:
-        raise _out_of_range(coeffs) from None
+    m = _viete(p * p / 12.0 + r, p ** 3 / 108.0 - p * r / 3.0 + q * q / 8.0)[0] - p / 3.0
+    s = math.sqrt(max(2.0 * m, 0.0))
+    shift = q / (2.0 * s) if s > 0.0 else 0.0
+    roots = []
+    for b, c in ((s, p / 2.0 + m - shift), (-s, p / 2.0 + m + shift)):
+        half = 0.5 * math.sqrt(max(b * b - 4.0 * c, 0.0))
+        roots += [-0.5 * b + half, -0.5 * b - half]
+    spectrum = _finish_spectrum(roots, (1.0, 0.0, p, q, r), e)
     if e > 0 and spectrum.spectral_radius > _MAX_QUARTIC_ROOT:
         raise _out_of_range(coeffs)
     return spectrum

@@ -16,13 +16,18 @@ from nrabi import (
     InvalidInputError,
     LevelSystem,
     StateVector,
+    build_q,
     check_consistency,
     check_resonance,
+    jacobi_eigendecompose,
     propagator_equal_coupling,
+    propagator_from_eigen,
     propagator_two_level,
+    spectral_plan,
+    trajectory,
 )
 from nrabi import cli, model
-from nrabi.model import _count, _real
+from nrabi.model import _count, _real, _shown
 from nrabi.oracle import IntegrationConfig, integrate_schrodinger
 from nrabi.roots import CubicCoeffs, QuarticCoeffs, solve_cubic_depressed, solve_quartic
 
@@ -138,6 +143,34 @@ def test_index_past_the_digit_limit_is_named_by_its_bits(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spectral_plan(build_q(TWO_LEVEL), 10**5000),
+        lambda: trajectory(TWO_LEVEL, StateVector.basis(2, 0), [1.0], 10**5000),
+        lambda: propagator_from_eigen(jacobi_eigendecompose(build_q(TWO_LEVEL)), 1.0, 10**5000),
+    ],
+    ids=["spectral_plan", "trajectory", "eigen_label"],
+)
+def test_method_past_the_digit_limit_is_named_by_its_bits(call):
+    # the repr in the message raised ValueError
+    with pytest.raises(InvalidInputError, match="an integer of 16610 bits"):
+        call()
+
+
+def test_scenario_index_past_the_digit_limit_is_named_by_its_bits():
+    # the repr in the message raised ValueError, reported as "invalid scenario: Exceeds the limit"
+    data = {"levels": [0.0, 1.0], "couplings": [{"i": 0, "j": 1, "g": 1.0, "omega": 1.0}], "t_end": 1.0}
+    with pytest.raises(cli.ScenarioError, match="^initial level index an integer of 16610 bits out of range$"):
+        cli.scenario_from_dict({**data, "initial": 10**5000})
+
+
+def test_range_refusal_writes_the_checked_float():
+    # the caller's int was written with its 301 digits
+    with pytest.raises(InvalidInputError, match=r"^dt must be positive, got -1e\+300$"):
+        IntegrationConfig(dt=-10**300)
+
+
 def test_numpy_and_int_values_are_reals_and_counts():
     system = LevelSystem(
         (0, np.float32(1.0)), {(np.int64(1), 0): np.int64(2)}, {(0, 1): 1}, {(0, 1): np.float64(0.5)}
@@ -164,7 +197,8 @@ def test_roots_past_the_float_range(solve, coeffs):
 
 # ---- refusal parity of the pair tables -------------------------------------
 # The reference copies below are the per-entry loops the column checks
-# replaced: each entry's rules in order, the first broken one raising.
+# replaced: each entry's rules in order, the first broken one raising, a
+# refused key written by the one writer, ``model._shown``.
 
 
 def _reference_pairs(values, n, what):
@@ -172,10 +206,10 @@ def _reference_pairs(values, n, what):
     index = f"{what} key index"
     for key, value in values.items():
         if not (isinstance(key, tuple) and len(key) == 2):
-            raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
+            raise InvalidInputError(f"{what} key {_shown(key)} is not a valid level pair")
         i, j = sorted((_count(key[0], index, 0), _count(key[1], index, 0)))
         if i == j or j >= n:
-            raise InvalidInputError(f"{what} key {key!r} is not a valid level pair")
+            raise InvalidInputError(f"{what} key {_shown(key)} is not a valid level pair")
         if (i, j) in out:
             raise InvalidInputError(f"duplicate {what} entry for pair ({i}, {j})")
         out[(i, j)] = _real(value, f"{what}[{i},{j}]")
@@ -204,7 +238,7 @@ def _reference_scenario_pairs(levels, entries):
         for k, item in enumerate(entries):
             pair = tuple(cli._integer(item[key], f"couplings[{k}].{key}", 0) for key in "ij")
             if pair in couplings:
-                raise cli.ScenarioError(f"couplings[{k}] repeats the pair {pair}")
+                raise cli.ScenarioError(f"couplings[{k}] repeats the pair {_shown(pair)}")
             couplings[pair] = cli._number(item["g"], f"couplings[{k}].g")
             freqs[pair] = cli._number(item["omega"], f"couplings[{k}].omega")
             if "phi" in item:

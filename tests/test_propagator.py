@@ -392,6 +392,18 @@ def test_int_coupling_past_64_bits_is_its_float():
         assert got.matrix.tobytes() == expected.matrix.tobytes()
 
 
+@pytest.mark.parametrize(
+    "t", [np.float32(0.1), np.array(0.25), np.float64(0.5), 2], ids=["float32", "0d_array", "float64", "int"]
+)
+def test_time_is_kept_as_the_checked_python_float(t):
+    # the caller's object was kept: a numpy.float32, or a 0-d array by reference
+    q = coupling_matrix([1.0, 0.5, 0.3], 3)
+    checked = float(t)
+    kept = (propagator(q, t).t, propagator_two_level(1.0, t).t, lagrange_coeffs(closed_form_spectrum(q), t).t)
+    assert [type(x) for x in kept] == [float] * 3 and kept == (checked,) * 3
+    assert propagator(q, t).matrix.tobytes() == propagator(q, checked).matrix.tobytes()
+
+
 def test_from_eigen_accepts_eigen_route_names():
     decomp = jacobi_eigendecompose(coupling_matrix([1.0, 2.0, 3.0], 3))
     assert propagator_from_eigen(decomp, 1.0, "closed_eigen3").method is Method.CLOSED_EIGEN3

@@ -1,6 +1,7 @@
 """Refusals no other test reaches: each raises its own type with its own message."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,11 @@ TWO_LEVEL = {
     "t_end": 1.0,
     "samples": 3,
 }
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+THREE_LEVEL = json.loads((SCENARIOS / "three_level_consistent.json").read_text(encoding="utf-8"))
+# JSON holds an int of 401 digits; each refusal wrote them all
+BIG = 10**400
+BIG_PAIR = [{"i": 0, "j": BIG, "g": 1.0, "omega": 1.0}] * 2
 
 
 @pytest.mark.parametrize(
@@ -94,12 +100,46 @@ TWO_LEVEL = {
         ({**TWO_LEVEL, "t_end": -1.0}, "out.csv", "t_end must be non-negative"),
         ([TWO_LEVEL], "out.csv", "scenario must be a JSON object"),
         (TWO_LEVEL, "missing/out.csv", "cannot write"),
+        ({**THREE_LEVEL, "initial": 3}, "out.csv", "initial level index 3 out of range"),
+        ({**THREE_LEVEL, "initial": 3.0}, "out.csv", "initial level index 3.0 out of range"),
+        ({**TWO_LEVEL, "levels": [0.0, BIG]}, "out.csv", "levels[1] must be a number, got an integer of 1329 bits"),
+        (
+            {**TWO_LEVEL, "couplings": [{**TWO_LEVEL["couplings"][0], "g": BIG}]},
+            "out.csv",
+            "couplings[0].g must be a number, got an integer of 1329 bits",
+        ),
+        ({**TWO_LEVEL, "initial": BIG}, "out.csv", "initial level index an integer of 1329 bits out of range"),
+        (
+            {**TWO_LEVEL, "couplings": BIG_PAIR},
+            "out.csv",
+            "couplings[1] repeats the pair (0, an integer of 1329 bits)",
+        ),
+        ({**TWO_LEVEL, "method": BIG}, "out.csv", "unknown method an integer of 1329 bits"),
     ],
-    ids=["negative_t_end", "json_not_an_object", "unwritable_out"],
+    ids=[
+        "negative_t_end",
+        "json_not_an_object",
+        "unwritable_out",
+        "initial_past_n",
+        "initial_float_past_n",
+        "levels_past_64_bits",
+        "g_past_64_bits",
+        "initial_past_64_bits",
+        "pair_index_past_64_bits",
+        "method_past_64_bits",
+    ],
 )
 def test_cli_refusal_exits_1(tmp_path, capsys, data, out, fragment):
     out_path = tmp_path / out
     assert main(["simulate", _scenario(tmp_path, data), "--out", str(out_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+    assert not out_path.exists()
+
+
+def test_cli_method_flag_refusal_exits_1(tmp_path, capsys):
+    # the flag's names are read by the one reading of the scenario's "method"
+    out_path = tmp_path / "out.csv"
+    assert main(["simulate", _scenario(tmp_path, TWO_LEVEL), "--out", str(out_path), "--method", "bogus"]) == 1
+    assert capsys.readouterr().err == "error: unknown method 'bogus'\n"
     assert not out_path.exists()

@@ -211,6 +211,14 @@ class TestPowerSums:
         with pytest.raises(InvalidInputError, match="power sum"):
             solve_quartic(QuarticCoeffs(*coeffs))
 
+    def test_collapsed_split_beyond_the_root_bound_is_refused(self):
+        # roots 0, -2.37e72 and a complex pair: the scaled split left roots
+        # +-6.9e78 at a root scale of 0.67, radius ** 4 overflowed, and the
+        # refusal read "the roots ... overflow the float range"
+        coeffs = QuarticCoeffs(p=-1.8362613096147856e-172, q=1.3322068759529163e217, r=2.209706741819728e-281)
+        with pytest.raises(InvalidInputError, match=r"\(Fujiwara's bound\); coefficients are not from a real"):
+            solve_quartic(coeffs)
+
     def test_every_complex_root_draw_is_refused(self):
         rng = np.random.default_rng(7)
         complex_draws = 0
